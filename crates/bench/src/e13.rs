@@ -13,7 +13,9 @@
 //!
 //! * [`migration_ops_per_sec`] — T independent 2-node [`RealCluster`]s,
 //!   each ping-ponging a stateful counter instance between its nodes.
-//!   One "op" is a full migrate → re-materialize → probe-converged round.
+//!   One "op" is a full migrate → re-materialize → running-confirmed
+//!   round (the destination's worker answers `await_running` at the first
+//!   tick after which the instance runs).
 //! * [`admission_ops_per_sec`] — T paced open-loop clients, each driving
 //!   its own admission-controlled VIP off the shared monotonic clock.
 //! * [`admission_tight_ops_per_sec`] — the sim-vs-real control: one

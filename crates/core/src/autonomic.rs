@@ -141,10 +141,13 @@ impl AutonomicModule {
 
     /// True when an evaluation is due at `now`.
     pub fn due(&self, now: SimTime) -> bool {
-        match self.last {
-            None => true,
-            Some(at) => now.since(at) >= self.interval,
-        }
+        now >= self.due_at()
+    }
+
+    /// When the next evaluation falls due ([`SimTime::ZERO`] before the
+    /// first one).
+    pub fn due_at(&self) -> SimTime {
+        self.last.map_or(SimTime::ZERO, |at| at + self.interval)
     }
 
     /// Refreshes the blackboard from the monitoring module and evaluates

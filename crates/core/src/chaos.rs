@@ -136,6 +136,16 @@ pub fn run_nemesis_with_telemetry(
     opts: &ChaosOptions,
     telemetry: Telemetry,
 ) -> ChaosReport {
+    run_nemesis_on(plan, opts, telemetry, |_| {})
+}
+
+/// The nemesis run itself; `prepare` adjusts the fresh cluster before boot.
+fn run_nemesis_on(
+    plan: &NemesisPlan,
+    opts: &ChaosOptions,
+    telemetry: Telemetry,
+    prepare: impl FnOnce(&mut DosgiCluster),
+) -> ChaosReport {
     let config = ClusterConfig {
         backend: opts.backend,
         ..ClusterConfig::default()
@@ -153,6 +163,7 @@ pub fn run_nemesis_with_telemetry(
             DosgiCluster::default_slos(),
         );
     }
+    prepare(&mut cluster);
     let mut violations: Vec<String> = Vec::new();
 
     // Boot, deploy the workload, let placement commit everywhere.
@@ -514,6 +525,36 @@ mod tests {
             min_gap_us: 1_000_000,
             duration_us: (500_000, 2_500_000),
             ..NemesisConfig::default()
+        }
+    }
+
+    /// `DosgiNode::next_deadline` is safe to sleep on: the chaos sweep's
+    /// ten schedules (5 nodes, 6 faults, upgrade wave at 10 s), run with
+    /// each node's tick skipped while its mailbox is empty and its
+    /// deadline lies ahead, fingerprint byte-identically to the
+    /// every-step run. So no skipped tick ever had work to do.
+    #[test]
+    fn skipping_ticks_until_the_next_deadline_changes_no_fingerprint() {
+        let config = NemesisConfig {
+            faults: 6,
+            ..NemesisConfig::default()
+        };
+        let opts = ChaosOptions {
+            upgrade_wave_at_us: Some(10_000_000),
+            ..ChaosOptions::default()
+        };
+        for seed in 1..=10 {
+            let plan = NemesisPlan::generate(seed, 5, &config);
+            let every_step = run_nemesis_with_telemetry(&plan, &opts, Telemetry::disabled());
+            let skipping = run_nemesis_on(&plan, &opts, Telemetry::disabled(), |c| {
+                c.skip_idle_ticks = true;
+            });
+            assert!(every_step.ok(), "seed {seed}: {:?}", every_step.violations);
+            assert_eq!(
+                skipping.fingerprint, every_step.fingerprint,
+                "seed {seed}: a skipped tick had work ({:?})",
+                skipping.violations
+            );
         }
     }
 

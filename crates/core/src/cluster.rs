@@ -80,6 +80,13 @@ pub struct DosgiCluster {
     // releases the instance, exited when the new home reports adoption.
     handoff_spans: BTreeMap<String, SpanId>,
     observability: Option<Observability>,
+    // Test-only: skip a node's tick while its mailbox is empty and its
+    // `next_deadline` lies in the future — the real-clock worker's wake
+    // rule, checked against the every-step sweep.
+    #[cfg(test)]
+    pub(crate) skip_idle_ticks: bool,
+    #[cfg(test)]
+    skipped_ticks: u64,
 }
 
 impl std::fmt::Debug for DosgiCluster {
@@ -158,6 +165,10 @@ impl DosgiCluster {
             telemetry,
             handoff_spans: BTreeMap::new(),
             observability: None,
+            #[cfg(test)]
+            skip_idle_ticks: false,
+            #[cfg(test)]
+            skipped_ticks: 0,
         }
     }
 
@@ -555,6 +566,15 @@ impl DosgiCluster {
         // time; advance the injector's clock alongside the network's.
         self.store.set_now(now);
         for slot in &mut self.slots {
+            #[cfg(test)]
+            if self.skip_idle_ticks
+                && slot.alive
+                && self.net.pending(slot.node.id()) == 0
+                && slot.node.next_deadline(now) > now
+            {
+                self.skipped_ticks += 1;
+                continue;
+            }
             if slot.alive {
                 slot.node.tick(&mut self.net, now);
             }
@@ -746,6 +766,72 @@ mod tests {
         c.deploy(workloads::web_instance("a", "web"), 1).unwrap();
         c.run_for(SimDuration::from_millis(300));
         assert_eq!(c.home_of("web"), Some(1));
+    }
+
+    /// The real-clock workers' wake rule — tick only with mail or once
+    /// `next_deadline` has passed — skips most 5 ms steps of a quiet
+    /// cluster, yet produces exactly the events (with their timestamps)
+    /// and call results of the every-step driver. Operations land between
+    /// heartbeat rounds, so work they leave behind is seen only through
+    /// the deadline: ordered self-deliveries, adoptions, an upgrade,
+    /// write-behind persistence under SAN faults, and a crash.
+    #[test]
+    fn idle_ticks_are_skipped_without_changing_the_outcome() {
+        fn incr(c: &mut DosgiCluster, name: &str, out: &mut Vec<String>) {
+            let r = c.call(name, workloads::COUNTER_SERVICE, "incr", &Value::Null);
+            out.push(format!("{r:?}"));
+        }
+        let run = |skip: bool| {
+            let mut c = DosgiCluster::new(3, ClusterConfig::default(), 77);
+            c.skip_idle_ticks = skip;
+            let mut out = Vec::new();
+            c.run_for(SimDuration::from_millis(520));
+            let wt = workloads::COUNTER_WRITE_THROUGH;
+            c.deploy(workloads::counter_instance_with("acme", "a", wt), 0)
+                .unwrap();
+            c.deploy(workloads::counter_instance_with("acme", "b", wt), 1)
+                .unwrap();
+            for _ in 0..3 {
+                incr(&mut c, "a", &mut out);
+            }
+            c.run_for(SimDuration::from_millis(15));
+            c.migrate("a", 2).unwrap();
+            c.run_for(SimDuration::from_millis(1_015));
+            let v2 = workloads::counter_manifest_at(wt, dosgi_osgi::Version::new(1, 1, 0));
+            c.upgrade_bundle("b", v2).unwrap();
+            c.run_for(SimDuration::from_millis(215));
+            c.set_fault_plan(dosgi_san::FaultPlan::flaky(0.3, 9));
+            for round in 0..20 {
+                incr(&mut c, "a", &mut out);
+                incr(&mut c, "b", &mut out);
+                if round == 5 {
+                    out.push(format!("{:?}", c.migrate("b", 0)));
+                }
+                c.run_for(SimDuration::from_millis(35));
+            }
+            c.clear_faults();
+            c.run_for(SimDuration::from_millis(1_020));
+            c.crash_node(1);
+            c.run_for(SimDuration::from_secs(3));
+            incr(&mut c, "a", &mut out);
+            incr(&mut c, "b", &mut out);
+            let node_steps = 3 * c.now().as_micros() / c.config.tick.as_micros();
+            (
+                out,
+                format!("{:?}", c.take_events()),
+                c.skipped_ticks,
+                node_steps,
+            )
+        };
+        let (every_out, every_events, _, _) = run(false);
+        let (out, events, skipped, node_steps) = run(true);
+        assert_eq!(every_out[..3], ["Ok(Int(1))", "Ok(Int(2))", "Ok(Int(3))"]);
+        assert_eq!(out, every_out);
+        assert_eq!(events, every_events);
+        assert!(
+            skipped * 2 > node_steps,
+            "only {skipped} of {node_steps} node steps skipped"
+        );
     }
 
     #[test]

@@ -20,6 +20,9 @@ use std::collections::{BTreeMap, BTreeSet};
 /// The wire type carried by the cluster's simulated network.
 pub type Wire = GcsWire<AppPayload>;
 
+/// How often a running node sweeps the registry for stranded instances.
+const STRANDED_SWEEP_PERIOD: SimDuration = SimDuration::from_millis(1_000);
+
 /// A node's coarse operational state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodeState {
@@ -553,6 +556,51 @@ impl DosgiNode {
         self.check_drained(net, now);
     }
 
+    /// The earliest instant at which [`tick`](Self::tick) has work to do
+    /// if no message arrives first; a result at or before `now` means it
+    /// has work now. Between two ticks only a message or a call into the
+    /// node (deploy, migrate, call, …) can bring it forward, so a driver
+    /// may skip ticks with an empty mailbox until this deadline without
+    /// changing anything the node does. [`SimTime::MAX`] for a node that
+    /// no longer ticks (hibernated or stopped).
+    ///
+    /// It is `now` while the first hello, deferred persistence (with the
+    /// SAN answering) or a completed drain is outstanding, and otherwise
+    /// the earliest of the group endpoint's timers (heartbeat, suspicion,
+    /// proposal and order resends), pending adoptions and upgrades
+    /// (including retry backoff), and the sample, policy and
+    /// stranded-sweep periods.
+    pub fn next_deadline(&self, now: SimTime) -> SimTime {
+        if matches!(self.state, NodeState::Hibernated | NodeState::Stopped) {
+            return SimTime::MAX;
+        }
+        if !self.hello_sent
+            || (self.mgr.persist_dirty() && self.store.is_available())
+            || self.drain_complete()
+        {
+            return now;
+        }
+        let running = self.state == NodeState::Running;
+        let sample = self
+            .last_sample
+            .map_or(SimTime::ZERO, |at| at + self.config.sample_interval);
+        let policy = self
+            .autonomic
+            .as_ref()
+            .filter(|_| running)
+            .map(AutonomicModule::due_at);
+        let sweep = running.then(|| {
+            self.last_sweep
+                .map_or(SimTime::ZERO, |at| at + STRANDED_SWEEP_PERIOD)
+        });
+        self.pending_adoptions
+            .iter()
+            .map(|p| p.ready_at)
+            .chain(self.pending_upgrades.iter().map(|p| p.ready_at))
+            .chain([Some(sample), policy, sweep].into_iter().flatten())
+            .fold(self.gcs.next_deadline(now), SimTime::min)
+    }
+
     /// Write-behind convergence: lifecycle transitions never roll back on a
     /// transient SAN failure — the framework marks its snapshot/data areas
     /// dirty instead. Each tick retries the flush (cheap no-op when nothing
@@ -578,7 +626,7 @@ impl DosgiNode {
         }
         let due = self
             .last_sweep
-            .map(|at| now.since(at) >= SimDuration::from_millis(1_000))
+            .map(|at| now.since(at) >= STRANDED_SWEEP_PERIOD)
             .unwrap_or(true);
         if !due {
             return;
@@ -1557,23 +1605,28 @@ impl DosgiNode {
         self.events.push(NodeEvent::Hibernated { at: now });
     }
 
+    /// True when a shutdown or hibernation drain has finished: every
+    /// instance is gone and every pending ordered message has been
+    /// sequenced. Leaving before our last control messages (Released!)
+    /// are sequenced would strand the instances we just handed off.
+    fn drain_complete(&self) -> bool {
+        let draining = self.state == NodeState::Draining
+            || (self.hibernate_when_empty && self.state == NodeState::Running);
+        draining && self.mgr.is_empty() && self.gcs.pending_orders() == 0
+    }
+
     fn check_drained(&mut self, net: &mut impl Fabric<Wire>, now: SimTime) {
-        // Leaving before our last control messages (Released!) are
-        // sequenced would strand the instances we just handed off.
-        let flushed = self.gcs.pending_orders() == 0;
-        if self.state == NodeState::Draining && self.mgr.is_empty() && flushed {
+        if !self.drain_complete() {
+            return;
+        }
+        if self.state == NodeState::Draining {
             let mut t = FabricTransport::new(net, self.id);
             self.gcs.leave(&mut t);
             self.state = NodeState::Stopped;
             self.recorder.end(self.lifecycle_trace, now.as_micros());
             self.lifecycle_trace = TraceRef::NONE;
             self.events.push(NodeEvent::Drained { at: now });
-        }
-        if self.hibernate_when_empty
-            && self.mgr.is_empty()
-            && flushed
-            && self.state == NodeState::Running
-        {
+        } else {
             self.hibernate_when_empty = false;
             self.hibernate(net, now);
         }

@@ -14,31 +14,40 @@
 //!
 //! ## Command plane
 //!
-//! Callers talk to worker threads through per-node command channels; each
-//! request carries its own reply channel. The worker loop is:
+//! Callers talk to worker threads through each node's single inbox, which
+//! carries both the commands and the fabric messages from peers; each
+//! command carries its own reply channel. The worker loop is:
 //!
-//! 1. drain pending commands (deploy / migrate / call / probe / …),
-//! 2. `node.tick(&mut endpoint, endpoint.now())` — heartbeats, view
-//!    changes, total-order delivery, adoption, SLA sweeps,
-//! 3. park briefly so an idle cluster does not spin at 100% CPU.
+//! 1. block on the inbox until something arrives or the node's
+//!    [`next_deadline`](DosgiNode::next_deadline) passes,
+//! 2. service the commands that arrived (deploy / migrate / call / probe /
+//!    …),
+//! 3. `node.tick(&mut endpoint, now)` — heartbeats, view changes,
+//!    total-order delivery, adoption, SLA sweeps — but only when mail
+//!    arrived or the deadline has passed: a command alone never ticks,
+//! 4. answer [`await_running`](RealCluster::await_running) waiters whose
+//!    instance now runs, and release those past their deadline.
 //!
-//! Convergence is *eventual* — a deploy returns as soon as the home node
-//! accepted it; use [`RealCluster::await_running`] to wait for the ordered
-//! registration to propagate.
+//! Nothing sleeps or polls: an idle node wakes once per timer (a
+//! heartbeat interval, typically), and a request is served as soon as the
+//! worker is scheduled. Convergence is *eventual* — a deploy returns as
+//! soon as the home node accepted it; `await_running` waits for the
+//! ordered registration to propagate.
 //!
 //! ## Time
 //!
 //! All nodes share one [`RealClock`]; `SimTime` values are microseconds
 //! since cluster start, so GCS timing configs tuned for the simulator
-//! (heartbeats, failover deadlines) carry over unchanged. Only node 0's
-//! worker stamps the shared store's fault clock, keeping that clock
-//! monotonic without cross-thread coordination.
+//! (heartbeats, failover deadlines) carry over unchanged. Every worker
+//! advances the shared store's fault clock on each wake-up with a
+//! monotonic max-update, so the clock never goes backwards and keeps
+//! moving while any node is awake.
 
 use crate::node::NodeConfig;
 use crate::CoreError;
 use crate::DosgiNode;
 use crate::NodeEvent;
-use dosgi_net::{Clock, Fabric, NodeId, RealClock, RealNet, SimTime};
+use dosgi_net::{Clock, CommandSender, Fabric, NodeId, RealClock, RealNet, SimTime};
 use dosgi_osgi::RegistryReader;
 use dosgi_san::{BackendKind, SharedStore, Value};
 use dosgi_telemetry::HealthState;
@@ -50,9 +59,9 @@ use std::time::{Duration, Instant};
 /// Wire type the nodes exchange (same alias the sim cluster uses).
 type Wire = dosgi_gcs::GcsWire<crate::AppPayload>;
 
-/// One request to a node's worker thread. Every variant carries a reply
-/// channel; `recv` on the caller side blocks until the worker's next loop
-/// iteration services it.
+/// One request to a node's worker thread. Every variant but `Shutdown`
+/// carries a reply channel; `recv` on the caller side blocks until the
+/// worker services it.
 enum Command {
     Deploy(InstanceDescriptor, Sender<Result<(), CoreError>>),
     Migrate(String, NodeId, Sender<Result<(), CoreError>>),
@@ -64,17 +73,27 @@ enum Command {
         Sender<Result<Value, CoreError>>,
     ),
     Probe(String, Sender<bool>),
+    /// Reply `true` once the named instance runs on this node; the sender
+    /// is dropped unanswered at the deadline or on shutdown.
+    AwaitRunning(String, SimTime, Sender<bool>),
     Health(Sender<HealthState>),
     Reader(Sender<RegistryReader>),
     TakeEvents(Sender<Vec<NodeEvent>>),
     Shutdown,
 }
 
+/// A pending [`Command::AwaitRunning`].
+struct Waiter {
+    name: String,
+    deadline: SimTime,
+    reply: Sender<bool>,
+}
+
 /// A cluster of [`DosgiNode`]s, one OS thread per node, connected by a
 /// [`RealNet`] and paced by a shared monotonic [`RealClock`].
 pub struct RealCluster {
     ids: Vec<NodeId>,
-    cmds: Vec<Sender<Command>>,
+    cmds: Vec<CommandSender<Wire, Command>>,
     workers: Vec<JoinHandle<()>>,
     store: SharedStore,
     clock: RealClock,
@@ -88,16 +107,16 @@ impl RealCluster {
 
     /// Spins up `n` nodes sharing `store`. Each node is constructed *on*
     /// its worker thread (the node itself never crosses threads), then
-    /// ticked until [`shutdown`](Self::shutdown).
+    /// driven by its worker loop until [`shutdown`](Self::shutdown).
     pub fn with_store(n: usize, config: NodeConfig, store: SharedStore) -> Self {
         assert!(n > 0, "cluster needs at least one node");
-        let mut net: RealNet<Wire> = RealNet::new();
+        let mut net: RealNet<Wire, Command> = RealNet::new();
         let ids: Vec<NodeId> = (0..n).map(|_| net.register_node()).collect();
         let clock = net.clock().clone();
         let mut cmds = Vec::with_capacity(n);
         let mut workers = Vec::with_capacity(n);
         for &id in &ids {
-            let (tx, rx) = channel::<Command>();
+            cmds.push(net.commands(id));
             let mut endpoint = net.endpoint(id);
             let peers = ids.clone();
             let cfg = config.clone();
@@ -106,59 +125,10 @@ impl RealCluster {
                 .name(format!("dosgi-node-{id}"))
                 .spawn(move || {
                     let boot = endpoint.now();
-                    let mut node = DosgiNode::new(id, peers, cfg, node_store.clone(), boot);
-                    let is_timekeeper = id == NodeId(0);
-                    loop {
-                        // Service every queued command before the tick so a
-                        // burst of requests pays one protocol round, not one
-                        // round each.
-                        let mut shutdown = false;
-                        while let Ok(cmd) = rx.try_recv() {
-                            match cmd {
-                                Command::Deploy(desc, reply) => {
-                                    let now = endpoint.now();
-                                    let _ = reply.send(node.deploy(desc, &mut endpoint, now));
-                                }
-                                Command::Migrate(name, to, reply) => {
-                                    let _ = reply.send(node.migrate_away(&name, to, &mut endpoint));
-                                }
-                                Command::Call(name, interface, method, arg, reply) => {
-                                    let _ = reply
-                                        .send(node.call_local(&name, &interface, &method, &arg));
-                                }
-                                Command::Probe(name, reply) => {
-                                    let _ = reply.send(node.probe_local(&name));
-                                }
-                                Command::Health(reply) => {
-                                    let _ = reply.send(node_health(&node));
-                                }
-                                Command::Reader(reply) => {
-                                    let _ = reply.send(node.registry_reader());
-                                }
-                                Command::TakeEvents(reply) => {
-                                    let _ = reply.send(node.take_events());
-                                }
-                                Command::Shutdown => shutdown = true,
-                            }
-                        }
-                        if shutdown {
-                            break;
-                        }
-                        let now = endpoint.now();
-                        if is_timekeeper {
-                            node_store.set_now(now);
-                        }
-                        node.tick(&mut endpoint, now);
-                        // Events nobody collects must not grow without
-                        // bound on a long-lived cluster.
-                        if node.events_len() > 16_384 {
-                            let _ = node.take_events();
-                        }
-                        std::thread::sleep(Duration::from_micros(200));
-                    }
+                    let node = DosgiNode::new(id, peers, cfg, node_store.clone(), boot);
+                    run_worker(node, &mut endpoint, &node_store);
                 })
                 .expect("spawn node worker");
-            cmds.push(tx);
             workers.push(handle);
         }
         RealCluster {
@@ -185,26 +155,23 @@ impl RealCluster {
         self.clock.now()
     }
 
-    fn cmd(&self, on: NodeId) -> &Sender<Command> {
-        &self.cmds[on.0 as usize]
+    /// Posts `cmd` to node `on`'s inbox.
+    fn post(&self, on: NodeId, cmd: Command) {
+        assert!(self.cmds[on.index()].send(cmd).is_ok(), "worker alive");
     }
 
     /// Deploys `descriptor` on node `on`; returns once the home node
     /// accepted it (cluster-wide registration follows via total order).
     pub fn deploy(&self, on: NodeId, descriptor: InstanceDescriptor) -> Result<(), CoreError> {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Deploy(descriptor, tx))
-            .expect("worker alive");
+        self.post(on, Command::Deploy(descriptor, tx));
         rx.recv().expect("worker replies")
     }
 
     /// Requests migration of `name` from `from` to `to`.
     pub fn migrate(&self, from: NodeId, name: &str, to: NodeId) -> Result<(), CoreError> {
         let (tx, rx) = channel();
-        self.cmd(from)
-            .send(Command::Migrate(name.to_owned(), to, tx))
-            .expect("worker alive");
+        self.post(from, Command::Migrate(name.to_owned(), to, tx));
         rx.recv().expect("worker replies")
     }
 
@@ -219,24 +186,23 @@ impl RealCluster {
         arg: &Value,
     ) -> Result<Value, CoreError> {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Call(
+        self.post(
+            on,
+            Command::Call(
                 name.to_owned(),
                 interface.to_owned(),
                 method.to_owned(),
                 arg.clone(),
                 tx,
-            ))
-            .expect("worker alive");
+            ),
+        );
         rx.recv().expect("worker replies")
     }
 
     /// True if instance `name` is currently running on node `on`.
     pub fn probe(&self, on: NodeId, name: &str) -> bool {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Probe(name.to_owned(), tx))
-            .expect("worker alive");
+        self.post(on, Command::Probe(name.to_owned(), tx));
         rx.recv().expect("worker replies")
     }
 
@@ -247,9 +213,7 @@ impl RealCluster {
     /// real-clock command plane.
     pub fn health(&self, on: NodeId) -> HealthState {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Health(tx))
-            .expect("worker alive");
+        self.post(on, Command::Health(tx));
         rx.recv().expect("worker replies")
     }
 
@@ -262,34 +226,27 @@ impl RealCluster {
     /// The handle outlives the request and reads without stopping the node.
     pub fn registry_reader(&self, on: NodeId) -> RegistryReader {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::Reader(tx))
-            .expect("worker alive");
+        self.post(on, Command::Reader(tx));
         rx.recv().expect("worker replies")
     }
 
     /// Drains node `on`'s accumulated events.
     pub fn take_events(&self, on: NodeId) -> Vec<NodeEvent> {
         let (tx, rx) = channel();
-        self.cmd(on)
-            .send(Command::TakeEvents(tx))
-            .expect("worker alive");
+        self.post(on, Command::TakeEvents(tx));
         rx.recv().expect("worker replies")
     }
 
-    /// Polls until `name` probes true on `on`, or `timeout` elapses.
-    /// Returns whether the instance was observed running.
+    /// Waits until instance `name` runs on node `on`, or `timeout`
+    /// elapses. Returns whether the instance was observed running. The
+    /// worker answers at once if it already runs, otherwise at the first
+    /// tick after which it does; nothing is polled.
     pub fn await_running(&self, on: NodeId, name: &str, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        loop {
-            if self.probe(on, name) {
-                return true;
-            }
-            if Instant::now() >= deadline {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+        let deadline = self.clock.reading_at(Instant::now() + timeout);
+        let (tx, rx) = channel();
+        self.post(on, Command::AwaitRunning(name.to_owned(), deadline, tx));
+        // An unanswered waiter is dropped at its deadline: that is `false`.
+        rx.recv().unwrap_or(false)
     }
 
     /// Stops every worker and joins the threads. Called implicitly on drop;
@@ -300,7 +257,7 @@ impl RealCluster {
 
     fn stop_workers(&mut self) {
         for tx in &self.cmds {
-            // A worker that already exited (panic) has dropped its receiver;
+            // A worker that already exited (panic) has dropped its inbox;
             // join below will surface that.
             let _ = tx.send(Command::Shutdown);
         }
@@ -318,6 +275,86 @@ impl RealCluster {
 impl Drop for RealCluster {
     fn drop(&mut self) {
         self.stop_workers();
+    }
+}
+
+/// A worker thread's loop (see the module docs): block on the inbox until
+/// mail, a command or the node's next deadline; service commands; tick
+/// only on mail or a passed deadline; answer and expire `await_running`
+/// waiters. Returns on [`Command::Shutdown`], dropping pending waiters.
+fn run_worker(
+    mut node: DosgiNode,
+    endpoint: &mut dosgi_net::RealEndpoint<Wire, Command>,
+    store: &SharedStore,
+) {
+    let mut waiters: Vec<Waiter> = Vec::new();
+    let mut due = node.next_deadline(endpoint.now());
+    loop {
+        let wake = waiters.iter().map(|w| w.deadline).fold(due, SimTime::min);
+        let mail = endpoint.recv_until(wake);
+        let now = endpoint.now();
+        store.advance_to(now);
+        let mut serviced = false;
+        while let Some(cmd) = endpoint.next_command() {
+            serviced = true;
+            match cmd {
+                Command::Deploy(desc, reply) => {
+                    let _ = reply.send(node.deploy(desc, endpoint, now));
+                }
+                Command::Migrate(name, to, reply) => {
+                    let _ = reply.send(node.migrate_away(&name, to, endpoint));
+                }
+                Command::Call(name, interface, method, arg, reply) => {
+                    let _ = reply.send(node.call_local(&name, &interface, &method, &arg));
+                }
+                Command::Probe(name, reply) => {
+                    let _ = reply.send(node.probe_local(&name));
+                }
+                Command::AwaitRunning(name, deadline, reply) => {
+                    if node.probe_local(&name) {
+                        let _ = reply.send(true);
+                    } else {
+                        waiters.push(Waiter {
+                            name,
+                            deadline,
+                            reply,
+                        });
+                    }
+                }
+                Command::Health(reply) => {
+                    let _ = reply.send(node_health(&node));
+                }
+                Command::Reader(reply) => {
+                    let _ = reply.send(node.registry_reader());
+                }
+                Command::TakeEvents(reply) => {
+                    let _ = reply.send(node.take_events());
+                }
+                Command::Shutdown => return,
+            }
+        }
+        // A command may have queued work that is due at once (a deploy's
+        // ordered announcement, say): the deadline says so.
+        if serviced {
+            due = node.next_deadline(now);
+        }
+        if mail || due <= now {
+            node.tick(endpoint, now);
+            // Events nobody collects must not grow without bound on a
+            // long-lived cluster.
+            if node.events_len() > 16_384 {
+                let _ = node.take_events();
+            }
+            waiters.retain(|w| {
+                let running = node.probe_local(&w.name);
+                if running {
+                    let _ = w.reply.send(true);
+                }
+                !running
+            });
+            due = node.next_deadline(endpoint.now());
+        }
+        waiters.retain(|w| w.deadline > now);
     }
 }
 
@@ -390,6 +427,53 @@ mod tests {
             .expect("state survived migration");
         assert_eq!(got, Value::Int(4), "count persisted across the hop");
         cluster.shutdown();
+    }
+
+    /// `await_running` answers from the worker: at once for an instance
+    /// already running (even with a zero timeout), and `false` — never
+    /// before the timeout — for a name that is never deployed.
+    #[test]
+    fn await_running_answers_at_once_or_at_its_deadline() {
+        let cluster = two_node_cluster();
+        let a = cluster.ids()[0];
+        cluster
+            .deploy(a, workloads::counter_instance("acme", "ctr-await"))
+            .expect("deploy accepted");
+        assert!(cluster.await_running(a, "ctr-await", Duration::from_secs(10)));
+        assert!(
+            cluster.await_running(a, "ctr-await", Duration::ZERO),
+            "already running: no wait needed"
+        );
+        let start = Instant::now();
+        assert!(cluster.await_running(a, "ctr-await", Duration::from_secs(30)));
+        assert!(start.elapsed() < Duration::from_secs(10));
+
+        let timeout = Duration::from_millis(60);
+        let start = Instant::now();
+        assert!(!cluster.await_running(a, "never-deployed", timeout));
+        assert!(start.elapsed() >= timeout, "released before its timeout");
+        cluster.shutdown();
+    }
+
+    /// A waiter still pending at shutdown is released, not left hanging.
+    #[test]
+    fn shutdown_releases_pending_waiters() {
+        let cluster = two_node_cluster();
+        let a = cluster.ids()[0];
+        let (tx, rx) = channel();
+        let deadline = cluster.now() + dosgi_net::SimDuration::from_secs(600);
+        cluster.post(
+            a,
+            Command::AwaitRunning("never-deployed".into(), deadline, tx),
+        );
+        // The worker has registered the waiter once it answers a later
+        // command from the same inbox.
+        assert!(!cluster.probe(a, "never-deployed"));
+        cluster.shutdown();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_secs(5)),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected)
+        );
     }
 
     /// The command plane answers health queries: an idle healthy cluster

@@ -2,7 +2,7 @@
 //! reliable FIFO broadcast and sequencer-based total order.
 
 use crate::{GcsConfig, GcsWire, Transport, View, ViewId};
-use dosgi_net::{NodeId, SimTime};
+use dosgi_net::{NodeId, SimDuration, SimTime};
 use dosgi_telemetry::{Telemetry, TraceContext};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -302,18 +302,7 @@ impl<A: Clone> GroupNode<A> {
         // Suspicion: who do I currently believe is alive?
         let alive = self.alive_set(now);
 
-        // Proposer election: the lowest *live current member* proposes. A
-        // freshly-(re)started outsider with a stale optimistic view must
-        // not pre-empt the incumbent coordinator — otherwise a restarted
-        // lowest-id node and the incumbent each wait for the other and the
-        // merge never happens. If no current member is alive (a node alone
-        // after a wipe), fall back to the lowest live node.
-        let proposer = alive
-            .iter()
-            .find(|m| self.view.contains(**m))
-            .or(alive.first())
-            .copied();
-        if proposer == Some(self.id) && alive != self.view.members {
+        if self.proposer(&alive) == Some(self.id) && alive != self.view.members {
             let need_new = match &self.proposal {
                 Some(p) => p.view.members != alive,
                 None => true,
@@ -400,6 +389,63 @@ impl<A: Clone> GroupNode<A> {
                 }
             }
         }
+    }
+
+    /// The earliest instant at which [`tick`](Self::tick) has work to do
+    /// if no message arrives first. A result at or before `now` means the
+    /// tick has work now: events wait to be taken, the head of the order
+    /// queue is unsent, or a view proposal must be made or can commit.
+    /// Otherwise it is the earliest of the next heartbeat, the next peer
+    /// suspicion, and the proposal and order resend times. A tick before
+    /// then changes nothing; handling a message may bring it forward.
+    pub fn next_deadline(&self, now: SimTime) -> SimTime {
+        let Some(last_hb) = self.last_hb_sent else {
+            return now;
+        };
+        if !self.events.is_empty() {
+            return now;
+        }
+        let mut next = last_hb + self.config.heartbeat_interval;
+        // A live peer turns suspect one µs after its silence exceeds the
+        // timeout (`alive_set` keeps it while `since <= suspect_timeout`).
+        let alive = self.alive_set(now);
+        for p in alive.iter().filter(|&&p| p != self.id) {
+            if let Some(&heard) = self.last_heard.get(p) {
+                next = next.min(heard + self.config.suspect_timeout + SimDuration::from_micros(1));
+            }
+        }
+        if self.proposer(&alive) == Some(self.id) && alive != self.view.members {
+            match &self.proposal {
+                Some(p) if p.view.members == alive => {
+                    if p.view.members.iter().all(|m| p.acks.contains(m)) {
+                        return now;
+                    }
+                    next = next.min(p.last_sent + self.config.propose_resend);
+                }
+                _ => return now,
+            }
+        }
+        if !self.pending_orders.is_empty() {
+            match self.pending_last_sent {
+                Some(at) => next = next.min(at + self.config.order_resend),
+                None => return now,
+            }
+        }
+        next
+    }
+
+    /// Proposer election: the lowest *live current member* proposes. A
+    /// freshly-(re)started outsider with a stale optimistic view must not
+    /// pre-empt the incumbent coordinator — otherwise a restarted lowest-id
+    /// node and the incumbent each wait for the other and the merge never
+    /// happens. If no current member is alive (a node alone after a wipe),
+    /// fall back to the lowest live node.
+    fn proposer(&self, alive: &[NodeId]) -> Option<NodeId> {
+        alive
+            .iter()
+            .find(|m| self.view.contains(**m))
+            .or(alive.first())
+            .copied()
     }
 
     fn alive_set(&self, now: SimTime) -> Vec<NodeId> {
@@ -998,6 +1044,47 @@ mod tests {
         }
         assert!(c.nodes[0].is_coordinator());
         assert!(!c.nodes[1].is_coordinator());
+    }
+
+    /// `next_deadline` is `now` while work waits (a first heartbeat,
+    /// untaken events, an order head the timer has not sent, a view
+    /// proposal to make) and otherwise the next timer, e.g. a heartbeat or
+    /// a peer's suspicion.
+    #[test]
+    fn next_deadline_tracks_pending_work_and_timers() {
+        let cfg = GcsConfig::lan();
+        let mut c = Cluster::new(3, LinkConfig::lan(), cfg, 1);
+        let boot = c.net.now();
+        assert_eq!(c.nodes[1].next_deadline(boot), boot, "first heartbeat");
+        c.run(SimDuration::from_millis(300));
+        let now = c.net.now();
+        assert_eq!(c.nodes[1].next_deadline(now), now, "view event untaken");
+        c.events(1);
+        let next = c.nodes[1].next_deadline(now);
+        assert!(next > now && next <= now + cfg.heartbeat_interval);
+        c.order(1, 7);
+        assert_eq!(c.nodes[1].next_deadline(now), now, "order head unsent");
+
+        // With heartbeats out of the way, the next timer is the earliest
+        // peer suspicion.
+        c.events(0);
+        let heard_first = c.nodes[0].last_heard[&NodeId(1)].min(c.nodes[0].last_heard[&NodeId(2)]);
+        c.nodes[0].config.heartbeat_interval = SimDuration::from_secs(60);
+        assert_eq!(
+            c.nodes[0].next_deadline(now),
+            heard_first + cfg.suspect_timeout + SimDuration::from_micros(1)
+        );
+        c.nodes[0].config.heartbeat_interval = cfg.heartbeat_interval;
+
+        c.crash(2);
+        let heard = c.nodes[0].last_heard[&NodeId(2)];
+        let suspect_at = heard + cfg.suspect_timeout + SimDuration::from_micros(1);
+        assert!(c.nodes[0].next_deadline(heard + cfg.suspect_timeout) <= suspect_at);
+        assert_eq!(
+            c.nodes[0].next_deadline(suspect_at),
+            suspect_at,
+            "node 2 suspected: the coordinator must propose"
+        );
     }
 
     #[test]

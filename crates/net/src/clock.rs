@@ -8,7 +8,7 @@
 
 use crate::SimTime;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A source of the current instant.
 pub trait Clock {
@@ -32,6 +32,24 @@ impl RealClock {
         RealClock {
             epoch: Arc::new(Instant::now()),
         }
+    }
+
+    /// The wall-clock instant at which this clock reads `t`, or `None`
+    /// when it never will: `t` is [`SimTime::MAX`] or lies beyond what
+    /// `Instant` can represent.
+    pub fn instant_at(&self, t: SimTime) -> Option<Instant> {
+        if t == SimTime::MAX {
+            return None;
+        }
+        self.epoch.checked_add(Duration::from_micros(t.as_micros()))
+    }
+
+    /// The first reading of this clock at or after `at`: the instant in
+    /// µs since the epoch, rounded up, so waiting until the reading has
+    /// passed never returns before `at`.
+    pub fn reading_at(&self, at: Instant) -> SimTime {
+        let since = at.saturating_duration_since(*self.epoch);
+        SimTime::from_micros(since.as_nanos().div_ceil(1_000) as u64)
     }
 }
 
@@ -60,5 +78,18 @@ mod tests {
         assert!(b >= a, "clones share one epoch and never go backwards");
         std::thread::sleep(std::time::Duration::from_millis(2));
         assert!(c.now() >= a + crate::SimDuration::from_millis(1));
+    }
+
+    #[test]
+    fn readings_and_instants_round_trip_without_undershoot() {
+        let c = RealClock::new();
+        let at = Instant::now() + Duration::from_nanos(1_500_300);
+        let t = c.reading_at(at);
+        // Rounded up: the instant of that reading is never before `at`,
+        // and at most one µs after it.
+        let back = c.instant_at(t).expect("representable");
+        assert!(back >= at);
+        assert!(back - at < Duration::from_micros(1));
+        assert_eq!(c.instant_at(SimTime::MAX), None);
     }
 }

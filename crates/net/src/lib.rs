@@ -58,7 +58,7 @@ pub use clock::{Clock, RealClock};
 pub use config::LinkConfig;
 pub use fabric::Fabric;
 pub use id::NodeId;
-pub use rt::{RealEndpoint, RealNet};
+pub use rt::{CommandSender, RealEndpoint, RealNet};
 pub use sim::{Envelope, SimNet, TimerToken};
 pub use stats::NetStats;
 pub use time::{SimDuration, SimTime};

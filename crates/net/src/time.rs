@@ -19,6 +19,9 @@ impl SimTime {
     /// The simulation epoch (t = 0).
     pub const ZERO: SimTime = SimTime(0);
 
+    /// The end of time: a deadline that never comes.
+    pub const MAX: SimTime = SimTime(u64::MAX);
+
     /// Creates an instant at `micros` microseconds after the epoch.
     pub const fn from_micros(micros: u64) -> Self {
         SimTime(micros)

@@ -169,6 +169,15 @@ impl FaultInjector {
         self.lock().now = now;
     }
 
+    /// Moves the injector's clock forward to `now`, never back: a stamp
+    /// older than the current reading is ignored. Lets several threads
+    /// stamp the clock from their own readings of a shared real clock
+    /// without coordinating.
+    pub fn advance_to(&self, now: SimTime) {
+        let mut s = self.lock();
+        s.now = s.now.max(now);
+    }
+
     /// The injector's current clock reading.
     pub fn now(&self) -> SimTime {
         self.lock().now
@@ -306,6 +315,37 @@ mod tests {
         f.set_now(SimTime::from_secs(2)); // half-open: end instant is healed
         assert!(f.is_available());
         assert_eq!(f.roll("op"), Ok(()));
+    }
+
+    /// Two threads stamping interleaved, out-of-order readings never move
+    /// the clock backwards, and it ends at the latest stamp.
+    #[test]
+    fn advance_to_never_moves_the_clock_backwards() {
+        let f = FaultInjector::new();
+        let stampers: Vec<_> = [0u64, 1]
+            .into_iter()
+            .map(|parity| {
+                let f = f.clone();
+                std::thread::spawn(move || {
+                    let mut last_seen = SimTime::ZERO;
+                    for i in 0..5_000u64 {
+                        // Each thread stamps a sawtooth: every other stamp
+                        // is older than the one before it.
+                        let t = 2 * i + parity;
+                        let stamp = if i % 2 == 0 { t + 1_000 } else { t };
+                        f.advance_to(SimTime::from_micros(stamp));
+                        let seen = f.now();
+                        assert!(seen >= last_seen, "clock went backwards");
+                        assert!(seen >= SimTime::from_micros(stamp));
+                        last_seen = seen;
+                    }
+                })
+            })
+            .collect();
+        for s in stampers {
+            s.join().expect("stamper");
+        }
+        assert_eq!(f.now(), SimTime::from_micros(2 * 4_998 + 1 + 1_000));
     }
 
     #[test]

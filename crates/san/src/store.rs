@@ -184,6 +184,13 @@ impl SharedStore {
         self.faults.set_now(now);
     }
 
+    /// Moves the fault clock forward to `now`, never back (see
+    /// [`FaultInjector::advance_to`]). The real-clock runtime's workers
+    /// each stamp it from the shared clock.
+    pub fn advance_to(&self, now: SimTime) {
+        self.faults.advance_to(now);
+    }
+
     /// False while the store is inside an injected brown-out window.
     pub fn is_available(&self) -> bool {
         self.faults.is_available()

@@ -93,6 +93,12 @@ impl InstanceManager {
         still_dirty
     }
 
+    /// True while the host or any instance framework has persistence
+    /// left for [`flush_persist_all`](Self::flush_persist_all).
+    pub fn persist_dirty(&self) -> bool {
+        self.host.persist_dirty() || self.instances.values().any(|i| i.framework.persist_dirty())
+    }
+
     /// Read access to the host framework.
     pub fn host(&self) -> &Framework {
         &self.host

@@ -16,6 +16,9 @@ cargo build --release --offline
 echo "==> cargo test -q --offline"
 cargo test -q --offline
 
+echo "==> benchmark helper tests (perfbench: percentiles, self time, schedstat, timing SAN decorator)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo clippy --offline -- -D warnings"
 cargo clippy --offline --all-targets -- -D warnings
 
