@@ -89,6 +89,28 @@ pub struct DosgiCluster {
     skipped_ticks: u64,
 }
 
+/// The registry clients consult: the first live, running node's replica.
+fn reference_registry(slots: &[Slot]) -> Option<&crate::ClusterRegistry> {
+    slots
+        .iter()
+        .find(|s| s.alive && s.node.state() == NodeState::Running)
+        .map(|s| s.node.registry())
+}
+
+/// The node index `rec` is placed on, if it is placed and that node is
+/// alive.
+fn live_home(slots: &[Slot], rec: &crate::InstanceRecord) -> Option<usize> {
+    let idx = rec.home.index();
+    (rec.status == InstanceStatus::Placed && slots.get(idx).is_some_and(|s| s.alive)).then_some(idx)
+}
+
+/// True if `rec`'s instance is running on its live home — the
+/// availability rule behind [`DosgiCluster::probe`] and the per-step SLA
+/// probes.
+fn serving(slots: &[Slot], rec: &crate::InstanceRecord) -> bool {
+    live_home(slots, rec).is_some_and(|idx| slots[idx].node.probe_local(&rec.name))
+}
+
 impl std::fmt::Debug for DosgiCluster {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DosgiCluster")
@@ -464,36 +486,22 @@ impl DosgiCluster {
     // Client-side views
     // ------------------------------------------------------------------
 
-    fn reference_registry(&self) -> Option<&crate::ClusterRegistry> {
-        self.slots
-            .iter()
-            .find(|s| s.alive && s.node.state() == NodeState::Running)
-            .map(|s| s.node.registry())
-    }
-
     fn find_record(&self, name: &str) -> Option<&crate::InstanceRecord> {
-        self.reference_registry().and_then(|r| r.record(name))
+        reference_registry(&self.slots).and_then(|r| r.record(name))
     }
 
     /// The node index currently responsible for `name` (per the replicated
     /// registry), if placed on a live node.
     pub fn home_of(&self, name: &str) -> Option<usize> {
-        let rec = self.find_record(name)?;
-        if rec.status != InstanceStatus::Placed {
-            return None;
-        }
-        let idx = rec.home.index();
-        self.node(idx).map(|_| idx)
+        live_home(&self.slots, self.find_record(name)?)
     }
 
     /// True if `name` is currently serving somewhere — the availability
     /// probe (a client that knows the service's location, as the paper's
     /// localization schemes provide).
     pub fn probe(&self, name: &str) -> bool {
-        self.home_of(name)
-            .and_then(|idx| self.node(idx))
-            .map(|n| n.probe_local(name))
-            .unwrap_or(false)
+        self.find_record(name)
+            .is_some_and(|rec| serving(&self.slots, rec))
     }
 
     /// Routes a client request to the instance's current home.
@@ -606,14 +614,12 @@ impl DosgiCluster {
                 self.events.push((NodeId(i as u32), e));
             }
         }
-        // Availability probes.
-        let names: Vec<String> = self
-            .reference_registry()
-            .map(|r| r.records().map(|rec| rec.name.clone()).collect())
-            .unwrap_or_default();
-        for name in names {
-            let up = self.probe(&name);
-            self.sla.probe(&name, now, up);
+        // Availability probes, walking the registry in place.
+        let slots = &self.slots;
+        if let Some(registry) = reference_registry(slots) {
+            for rec in registry.records() {
+                self.sla.probe(&rec.name, now, serving(slots, rec));
+            }
         }
         // Continuous observability, on the scrape cadence: health gauges
         // first (so the scrape samples the fresh values), then the series
@@ -642,7 +648,7 @@ impl DosgiCluster {
     /// Quarantined instances homed on node `idx`, per the replicated
     /// registry (0 when no running node can be consulted).
     fn quarantined_on(&self, idx: usize) -> usize {
-        self.reference_registry()
+        reference_registry(&self.slots)
             .map(|r| {
                 r.records()
                     .filter(|rec| {

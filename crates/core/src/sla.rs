@@ -55,13 +55,45 @@ impl AvailabilityRecord {
     }
 }
 
+/// One instance's probe history: its record, the last probe, and the
+/// length of the outage in progress (zero while up).
+#[derive(Debug, Clone, Copy)]
+struct Track {
+    record: AvailabilityRecord,
+    last_at: SimTime,
+    last_up: bool,
+    current_outage: SimDuration,
+}
+
+impl Track {
+    /// Attributes the interval since the previous probe to the
+    /// *previous* observed state, then records this one.
+    fn observe(&mut self, now: SimTime, available: bool) {
+        let span = now.since(self.last_at);
+        let rec = &mut self.record;
+        if self.last_up {
+            rec.up += span;
+            if !available {
+                rec.outages += 1;
+            }
+        } else {
+            rec.down += span;
+            self.current_outage += span;
+            rec.longest_outage = rec.longest_outage.max(self.current_outage);
+        }
+        if self.last_up != available {
+            self.current_outage = SimDuration::ZERO;
+        }
+        self.last_at = now;
+        self.last_up = available;
+    }
+}
+
 /// Tracks availability per instance from periodic boolean probes — the
 /// downtime instrument behind experiments E5–E9.
 #[derive(Debug, Clone, Default)]
 pub struct SlaTracker {
-    records: BTreeMap<String, AvailabilityRecord>,
-    last: BTreeMap<String, (SimTime, bool)>,
-    current_outage: BTreeMap<String, SimDuration>,
+    tracks: BTreeMap<String, Track>,
 }
 
 impl SlaTracker {
@@ -72,35 +104,30 @@ impl SlaTracker {
 
     /// Records a probe of `instance` at `now`. The interval since the
     /// previous probe is attributed to the *previous* observed state.
+    /// Only an instance's first probe copies its name.
     pub fn probe(&mut self, instance: &str, now: SimTime, available: bool) {
-        let rec = self.records.entry(instance.to_owned()).or_default();
-        if let Some((then, was_up)) = self.last.get(instance).copied() {
-            let span = now.since(then);
-            if was_up {
-                rec.up += span;
-            } else {
-                rec.down += span;
-                let outage = self.current_outage.entry(instance.to_owned()).or_default();
-                *outage += span;
-                if *outage > rec.longest_outage {
-                    rec.longest_outage = *outage;
-                }
-            }
-            if was_up && !available {
-                rec.outages += 1;
-                self.current_outage
-                    .insert(instance.to_owned(), SimDuration::ZERO);
-            }
-            if !was_up && available {
-                self.current_outage.remove(instance);
+        match self.tracks.get_mut(instance) {
+            Some(track) => track.observe(now, available),
+            None => {
+                self.tracks.insert(
+                    instance.to_owned(),
+                    Track {
+                        record: AvailabilityRecord::default(),
+                        last_at: now,
+                        last_up: available,
+                        current_outage: SimDuration::ZERO,
+                    },
+                );
             }
         }
-        self.last.insert(instance.to_owned(), (now, available));
     }
 
     /// The record for `instance` (zeroes if never probed).
     pub fn record(&self, instance: &str) -> AvailabilityRecord {
-        self.records.get(instance).copied().unwrap_or_default()
+        self.tracks
+            .get(instance)
+            .map(|t| t.record)
+            .unwrap_or_default()
     }
 
     /// True if `instance` meets `spec`'s availability target so far.
@@ -110,7 +137,7 @@ impl SlaTracker {
 
     /// All tracked instance names, sorted.
     pub fn instances(&self) -> Vec<&str> {
-        self.records.keys().map(String::as_str).collect()
+        self.tracks.keys().map(String::as_str).collect()
     }
 }
 
@@ -167,6 +194,79 @@ mod tests {
             ..spec
         };
         assert!(!t.meets("a", &strict));
+    }
+
+    /// The merged per-instance track against a reference model written
+    /// from the definitions: every interval goes to the state probed at
+    /// its start, so up + down covers the whole probed span; an outage is
+    /// an up→down transition; and a run of down probes lasts until the
+    /// next up probe (or the last probe), the longest run being the
+    /// longest outage.
+    #[test]
+    fn prop_tracker_matches_a_reference_model() {
+        use dosgi_testkit::{prop, prop_verify_eq, Gen};
+        const NAMES: [&str; 3] = ["a", "b", "c"];
+        let probe = Gen::new(|rng| {
+            (
+                rng.usize_in(0, NAMES.len() - 1),
+                rng.u64_below(4_000),
+                rng.u64_below(3) != 0,
+            )
+        });
+        let gen = prop::vecs(probe, 0, 40);
+        prop::check("prop_tracker_matches_a_reference_model", &gen, |probes| {
+            let mut t = SlaTracker::new();
+            let mut at = 0u64;
+            let mut seen: Vec<Vec<(u64, bool)>> = vec![Vec::new(); NAMES.len()];
+            for &(i, dt, up) in probes {
+                at += dt;
+                t.probe(NAMES[i], SimTime::from_micros(at), up);
+                seen[i].push((at, up));
+            }
+            for (name, history) in NAMES.iter().zip(&seen) {
+                let us = SimDuration::from_micros;
+                let mut want = AvailabilityRecord::default();
+                for w in history.windows(2) {
+                    let ((t0, up0), (t1, up1)) = (w[0], w[1]);
+                    if up0 {
+                        want.up += us(t1 - t0);
+                    } else {
+                        want.down += us(t1 - t0);
+                    }
+                    if up0 && !up1 {
+                        want.outages += 1;
+                    }
+                }
+                // Each maximal run of down probes lasts from its first
+                // probe to the next up probe (or the last probe).
+                for (i, &(start, up)) in history.iter().enumerate() {
+                    let run_starts = !up && (i == 0 || history[i - 1].1);
+                    if run_starts {
+                        let end = history[i..]
+                            .iter()
+                            .find(|p| p.1)
+                            .or(history.last())
+                            .map_or(start, |p| p.0);
+                        want.longest_outage = want.longest_outage.max(us(end - start));
+                    }
+                }
+                let span = match history.as_slice() {
+                    [first, .., last] => us(last.0 - first.0),
+                    _ => SimDuration::ZERO,
+                };
+                let got = t.record(name);
+                prop_verify_eq!(got, want, "instance {name}, history {history:?}");
+                prop_verify_eq!(got.up + got.down, span);
+            }
+            let probed: Vec<&str> = NAMES
+                .iter()
+                .zip(&seen)
+                .filter(|(_, h)| !h.is_empty())
+                .map(|(n, _)| *n)
+                .collect();
+            prop_verify_eq!(t.instances(), probed);
+            Ok(())
+        });
     }
 
     #[test]

@@ -89,6 +89,46 @@ impl PartialEq for IpvsDirector {
     }
 }
 
+/// The per-class metric names the admission path updates, spelled out so
+/// counting a request formats no string.
+struct ClassMetrics {
+    queued: &'static str,
+    shed: &'static str,
+    latency_us: &'static str,
+    deadline_missed: &'static str,
+}
+
+fn class_metrics(class: RequestClass) -> ClassMetrics {
+    match class {
+        RequestClass::Critical => ClassMetrics {
+            queued: "ipvs.queued.critical",
+            shed: "ipvs.shed.critical",
+            latency_us: "ipvs.latency_us.critical",
+            deadline_missed: "ipvs.deadline_missed.critical",
+        },
+        RequestClass::Standard => ClassMetrics {
+            queued: "ipvs.queued.standard",
+            shed: "ipvs.shed.standard",
+            latency_us: "ipvs.latency_us.standard",
+            deadline_missed: "ipvs.deadline_missed.standard",
+        },
+        RequestClass::Background => ClassMetrics {
+            queued: "ipvs.queued.background",
+            shed: "ipvs.shed.background",
+            latency_us: "ipvs.latency_us.background",
+            deadline_missed: "ipvs.deadline_missed.background",
+        },
+    }
+}
+
+/// The per-node metric name `<family>.n<node>`, or `None` when
+/// `telemetry` is disabled: a director without telemetry formats nothing.
+fn node_metric(telemetry: &Telemetry, family: &str, node: NodeId) -> Option<String> {
+    telemetry
+        .is_enabled()
+        .then(|| format!("{family}.n{}", node.0))
+}
+
 impl IpvsDirector {
     /// Creates an empty director.
     pub fn new() -> Self {
@@ -163,7 +203,9 @@ impl IpvsDirector {
             if still_eligible {
                 self.stats.routed += 1;
                 *self.per_server.entry((address, node)).or_insert(0) += 1;
-                self.telemetry.incr(&format!("ipvs.routed.n{}", node.0));
+                if let Some(name) = node_metric(&self.telemetry, "ipvs.routed", node) {
+                    self.telemetry.incr(&name);
+                }
                 return Ok(node);
             }
             self.release(client, address);
@@ -183,7 +225,9 @@ impl IpvsDirector {
         self.stats.routed += 1;
         self.stats.tracked = self.connections.len() as u64;
         *self.per_server.entry((address, node)).or_insert(0) += 1;
-        self.telemetry.incr(&format!("ipvs.routed.n{}", node.0));
+        if let Some(name) = node_metric(&self.telemetry, "ipvs.routed", node) {
+            self.telemetry.incr(&name);
+        }
         Ok(node)
     }
 
@@ -237,7 +281,7 @@ impl IpvsDirector {
             return Err(RouteError::NoSuchService(address));
         }
         if self.shed_classes.contains(&(address, class)) {
-            self.count_shed(class, "policy");
+            self.count_shed(class, "ipvs.shed.reason.policy");
             return Err(RouteError::Shed(address, class));
         }
         let vs = self.services.get_mut(&address).expect("checked above");
@@ -270,17 +314,17 @@ impl IpvsDirector {
             Admitted::Queued => {}
             Admitted::Displaced(victim) => {
                 self.stats.displaced += 1;
-                self.count_shed(victim.class, "displaced");
+                self.count_shed(victim.class, "ipvs.shed.reason.displaced");
             }
             Admitted::Shed => {
-                self.count_shed(class, "full");
+                self.count_shed(class, "ipvs.shed.reason.full");
                 self.record_queue_gauge(address, node);
                 return Err(RouteError::Shed(address, class));
             }
         }
         self.stats.queued += 1;
         self.telemetry.incr("ipvs.queued");
-        self.telemetry.incr(&format!("ipvs.queued.{class}"));
+        self.telemetry.incr(class_metrics(class).queued);
         self.record_queue_gauge(address, node);
         Ok(node)
     }
@@ -296,24 +340,24 @@ impl IpvsDirector {
             return Vec::new();
         };
         let mut out = Vec::new();
-        for i in 0..vs.queues.len() {
-            let node = vs.servers[i].node;
-            vs.queues[i].drain_until(node, now_us, &mut out);
+        for (server, queue) in vs.servers.iter().zip(vs.queues.iter_mut()) {
+            queue.drain_until(server.node, now_us, &mut out);
         }
-        let nodes: Vec<NodeId> = vs.servers.iter().map(|s| s.node).collect();
-        for node in nodes {
-            self.record_queue_gauge(address, node);
+        for server in &vs.servers {
+            if let Some(name) = node_metric(&self.telemetry, "ipvs.queue_depth", server.node) {
+                self.telemetry
+                    .gauge_set(&name, vs.queue_depth(server.node) as i64);
+            }
         }
         for c in &out {
+            let names = class_metrics(c.class);
             self.stats.completed += 1;
             self.telemetry.incr("ipvs.completed");
-            self.telemetry
-                .record(&format!("ipvs.latency_us.{}", c.class), c.latency_us());
+            self.telemetry.record(names.latency_us, c.latency_us());
             if c.missed_deadline() {
                 self.stats.deadline_missed += 1;
                 self.telemetry.incr("ipvs.deadline_missed");
-                self.telemetry
-                    .incr(&format!("ipvs.deadline_missed.{}", c.class));
+                self.telemetry.incr(names.deadline_missed);
             }
         }
         out
@@ -346,20 +390,23 @@ impl IpvsDirector {
         })
     }
 
-    fn count_shed(&mut self, class: RequestClass, why: &str) {
+    /// Counts one shed request of `class`; `reason` is the full
+    /// `ipvs.shed.reason.<why>` counter name.
+    fn count_shed(&mut self, class: RequestClass, reason: &'static str) {
         self.stats.shed += 1;
         self.telemetry.incr("ipvs.shed");
-        self.telemetry.incr(&format!("ipvs.shed.{class}"));
-        self.telemetry.incr(&format!("ipvs.shed.reason.{why}"));
+        self.telemetry.incr(class_metrics(class).shed);
+        self.telemetry.incr(reason);
     }
 
     fn record_queue_gauge(&mut self, address: SocketAddr, node: NodeId) {
-        let depth = self
-            .services
-            .get(&address)
-            .map_or(0, |vs| vs.queue_depth(node));
-        self.telemetry
-            .gauge_set(&format!("ipvs.queue_depth.n{}", node.0), depth as i64);
+        if let Some(name) = node_metric(&self.telemetry, "ipvs.queue_depth", node) {
+            let depth = self
+                .services
+                .get(&address)
+                .map_or(0, |vs| vs.queue_depth(node));
+            self.telemetry.gauge_set(&name, depth as i64);
+        }
     }
 
     /// Marks every replica on `node` down across all services and drops its
@@ -380,8 +427,9 @@ impl IpvsDirector {
             self.stats.shed += abandoned;
             self.telemetry.add("ipvs.shed", abandoned);
             self.telemetry.add("ipvs.shed.reason.node_down", abandoned);
-            self.telemetry
-                .gauge_set(&format!("ipvs.queue_depth.n{}", node.0), 0);
+            if let Some(name) = node_metric(&self.telemetry, "ipvs.queue_depth", node) {
+                self.telemetry.gauge_set(&name, 0);
+            }
         }
         let before = self.connections.len();
         self.connections.retain(|_, n| *n != node);
@@ -426,7 +474,9 @@ impl IpvsDirector {
         for vs in self.services.values_mut() {
             vs.set_draining(node, true);
         }
-        self.telemetry.incr(&format!("ipvs.drained.n{}", node.0));
+        if let Some(name) = node_metric(&self.telemetry, "ipvs.drained", node) {
+            self.telemetry.incr(&name);
+        }
     }
 
     /// Lifts the administrative drain on `node`: the replica resumes
@@ -435,7 +485,9 @@ impl IpvsDirector {
         for vs in self.services.values_mut() {
             vs.set_draining(node, false);
         }
-        self.telemetry.incr(&format!("ipvs.undrained.n{}", node.0));
+        if let Some(name) = node_metric(&self.telemetry, "ipvs.undrained", node) {
+            self.telemetry.incr(&name);
+        }
     }
 
     /// Whether any service currently holds `node` in the draining state.
@@ -530,6 +582,25 @@ mod tests {
         let nodes: Vec<NodeId> = (0..nodes as u32).map(NodeId).collect();
         d.add_service(replicated_service(addr(), Scheduler::RoundRobin, &nodes));
         d
+    }
+
+    #[test]
+    fn spelled_out_class_metrics_match_the_class_names() {
+        for class in RequestClass::ALL {
+            let m = class_metrics(class);
+            assert_eq!(m.queued, format!("ipvs.queued.{class}"));
+            assert_eq!(m.shed, format!("ipvs.shed.{class}"));
+            assert_eq!(m.latency_us, format!("ipvs.latency_us.{class}"));
+            assert_eq!(m.deadline_missed, format!("ipvs.deadline_missed.{class}"));
+        }
+        assert_eq!(
+            node_metric(&Telemetry::disabled(), "ipvs.routed", NodeId(3)),
+            None
+        );
+        assert_eq!(
+            node_metric(&Telemetry::new(), "ipvs.routed", NodeId(3)).as_deref(),
+            Some("ipvs.routed.n3")
+        );
     }
 
     #[test]

@@ -118,6 +118,17 @@ impl fmt::Debug for Framework {
     }
 }
 
+/// The SAN namespace of bundle `sn`'s data area under framework
+/// namespace `ns`: `<ns>/data/<sn>`, built in one allocation.
+fn data_namespace(ns: &str, sn: &str) -> String {
+    const DATA: &str = "/data/";
+    let mut out = String::with_capacity(ns.len() + DATA.len() + sn.len());
+    out.push_str(ns);
+    out.push_str(DATA);
+    out.push_str(sn);
+    out
+}
+
 impl Framework {
     /// Creates a framework with default configuration.
     pub fn new(name: &str) -> Self {
@@ -818,57 +829,45 @@ impl Framework {
         method: &str,
         arg: &Value,
     ) -> Result<Value, ServiceError> {
-        let owner_sn = self
+        let Some(owner) = self
             .registry
             .owner_of(id)
             .and_then(|b| self.bundles.get(&b))
-            .map(|b| b.manifest.symbolic_name.as_str().to_owned());
-        let Some(sn) = owner_sn else {
+        else {
             // Unknown service: let the registry produce the right error.
             return self.registry.call(id, &mut self.ledger, method, arg);
         };
-        let mut area = self.data_areas.remove(&sn).unwrap_or_default();
+        let sn = owner.manifest.symbolic_name.as_str();
+        let area = match self.data_areas.get_mut(sn) {
+            Some(area) => area,
+            None => self.data_areas.entry(sn.to_owned()).or_default(),
+        };
         // After a restore the in-memory area starts empty while the SAN
         // holds the persisted state: warm it up on first access. A failed
         // warm-up fails the call — running the service against possibly
         // incomplete state would silently drop persisted writes.
         if area.is_empty() {
             if let Some((store, ns)) = &self.store {
-                match store.read_namespace(&format!("{ns}/data/{sn}")) {
-                    Ok(pairs) => {
-                        for (k, v) in pairs {
-                            area.insert(k, v);
-                        }
-                    }
-                    Err(e) => {
-                        self.data_areas.insert(sn, area);
-                        return Err(ServiceError::Store(e));
-                    }
-                }
+                let pairs = store
+                    .read_namespace(&data_namespace(ns, sn))
+                    .map_err(ServiceError::Store)?;
+                area.extend(pairs);
             }
         }
-        let outcome = self
-            .registry
-            .call_with_store(id, &mut self.ledger, &mut area, method, arg);
-        let mut flush_err = None;
-        if let Ok((_, true)) = &outcome {
-            if let Some((store, ns)) = &self.store {
-                let entries: Vec<(String, Value)> =
-                    area.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-                if let Err(e) = store.put_many(&format!("{ns}/data/{sn}"), &entries) {
-                    // The in-memory effect stands, but the caller must NOT
-                    // treat the call as durably acknowledged; the area is
-                    // re-flushed by the node tick.
-                    self.dirty_areas.insert(sn.clone());
-                    flush_err = Some(e);
-                }
+        let (value, dirty) =
+            self.registry
+                .call_with_store(id, &mut self.ledger, area, method, arg)?;
+        if let (true, Some((store, ns))) = (dirty, &self.store) {
+            let entries: Vec<(&str, &Value)> = area.iter().map(|(k, v)| (k.as_str(), v)).collect();
+            if let Err(e) = store.put_many(&data_namespace(ns, sn), &entries) {
+                // The in-memory effect stands, but the caller must NOT
+                // treat the call as durably acknowledged; the area is
+                // re-flushed by the node tick.
+                self.dirty_areas.insert(sn.to_owned());
+                return Err(ServiceError::Store(e));
             }
         }
-        self.data_areas.insert(sn, area);
-        match flush_err {
-            Some(e) => Err(ServiceError::Store(e)),
-            None => outcome.map(|(v, _)| v),
-        }
+        Ok(value)
     }
 
     /// Read access to the service registry.
@@ -912,7 +911,7 @@ impl Framework {
             .or_default()
             .insert(key.to_owned(), value.clone());
         if let Some((store, ns)) = &self.store {
-            if let Err(e) = store.put(&format!("{ns}/data/{sn}"), key, value) {
+            if let Err(e) = store.put(&data_namespace(ns, &sn), key, value) {
                 self.dirty_areas.insert(sn);
                 return Err(BundleError::Store(e));
             }
@@ -942,7 +941,7 @@ impl Framework {
             return Ok(Some(v.clone()));
         }
         match &self.store {
-            Some((store, ns)) => Ok(store.get(&format!("{ns}/data/{sn}"), key)?),
+            Some((store, ns)) => Ok(store.get(&data_namespace(ns, &sn), key)?),
             None => Ok(None),
         }
     }
@@ -1153,6 +1152,11 @@ impl Framework {
     /// The first [`StoreError`] hit; [`persist_dirty`](Self::persist_dirty)
     /// remains true.
     pub fn flush_persist(&mut self) -> Result<(), StoreError> {
+        // The node tick calls this for every framework every step; the
+        // common case is that nothing is dirty, and it must cost nothing.
+        if !self.persist_dirty() {
+            return Ok(());
+        }
         let Some((store, ns)) = self.store.clone() else {
             self.dirty_rows.clear();
             self.deleted_rows.clear();
@@ -1164,14 +1168,14 @@ impl Framework {
         }
         let pending: Vec<String> = self.dirty_areas.iter().cloned().collect();
         for sn in pending {
-            let entries: Vec<(String, Value)> = self
+            let entries: Vec<(&str, &Value)> = self
                 .data_areas
                 .get(&sn)
-                .map(|a| a.iter().map(|(k, v)| (k.clone(), v.clone())).collect())
+                .map(|a| a.iter().map(|(k, v)| (k.as_str(), v)).collect())
                 .unwrap_or_default();
             // Rewriting the full area is the idempotent recovery for torn
             // batch writes as well as plain failures.
-            store.put_many(&format!("{ns}/data/{sn}"), &entries)?;
+            store.put_many(&data_namespace(&ns, &sn), &entries)?;
             self.dirty_areas.remove(&sn);
         }
         Ok(())

@@ -416,14 +416,19 @@ impl ServiceRegistry {
                 .filter(|r| filter.is_none_or(|f| f.matches(&r.properties)))
                 .collect(),
         };
-        out.sort_by(|a, b| b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id)));
+        out.sort_by(|a, b| by_rank(a, b));
         out
     }
 
     /// The best (highest-ranked, then lowest-id) service offering
     /// `interface`.
     pub fn best(&self, interface: &str) -> Option<ServiceId> {
-        self.references(Some(interface), None).first().map(|r| r.id)
+        self.by_interface
+            .get(interface)?
+            .iter()
+            .filter_map(|id| self.services.get(id))
+            .min_by(|a, b| by_rank(a, b))
+            .map(|r| r.id)
     }
 
     /// Looks up a record by id.
@@ -496,6 +501,11 @@ impl ServiceRegistry {
     }
 }
 
+/// The OSGi reference order: ranking descending, then id ascending.
+fn by_rank(a: &ServiceRecord, b: &ServiceRecord) -> std::cmp::Ordering {
+    b.ranking.cmp(&a.ranking).then(a.id.cmp(&b.id))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,6 +548,57 @@ mod tests {
         );
         assert_eq!(rec.properties.get("service.id"), Some(&PropValue::Int(0)));
         assert_eq!(rec.ranking, 0);
+    }
+
+    /// `best` picks the minimum in reference order without sorting; it
+    /// must agree with the head of the sorted `references` list through
+    /// registrations, unregistrations and ranking changes, with ties.
+    #[test]
+    fn prop_best_is_the_first_reference() {
+        use dosgi_testkit::{prop, prop_verify_eq, Gen};
+        const IFACES: [&str; 3] = ["a", "b", "c"];
+        // (op, interface mask, ranking, pick): op 0–2 registers, 3
+        // unregisters, 4 re-ranks. Rankings span -1..=1, so ties are common.
+        let op = Gen::new(|rng| {
+            (
+                rng.u64_below(5),
+                rng.usize_in(1, 7),
+                rng.u64_below(3) as i64 - 1,
+                rng.usize_in(0, 31),
+            )
+        });
+        let gen = prop::vecs(op, 1, 30);
+        prop::check("prop_best_is_the_first_reference", &gen, |ops| {
+            let mut r = ServiceRegistry::new();
+            let mut live: Vec<ServiceId> = Vec::new();
+            for &(kind, mask, ranking, pick) in ops {
+                match kind {
+                    0..=2 => {
+                        let ifaces: Vec<&str> = IFACES
+                            .iter()
+                            .enumerate()
+                            .filter(|(i, _)| mask & (1 << i) != 0)
+                            .map(|(_, s)| *s)
+                            .collect();
+                        live.push(r.register(BundleId(1), &ifaces, props(ranking), echo_service()));
+                    }
+                    3 if !live.is_empty() => {
+                        let id = live.remove(pick % live.len());
+                        r.unregister(id).expect("live");
+                    }
+                    4 if !live.is_empty() => {
+                        let id = live[pick % live.len()];
+                        r.set_properties(id, props(ranking)).expect("live");
+                    }
+                    _ => {}
+                }
+                for iface in IFACES.iter().chain(&["none"]) {
+                    let first = r.references(Some(iface), None).first().map(|s| s.id);
+                    prop_verify_eq!(r.best(iface), first, "interface {iface}");
+                }
+            }
+            Ok(())
+        });
     }
 
     #[test]

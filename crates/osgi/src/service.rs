@@ -97,7 +97,12 @@ impl<'a> CallContext<'a> {
         self.ledger
             .charge_disk(self.bundle, value.encoded_len() as u64);
         if let Some(d) = self.data.as_mut() {
-            d.insert(key.to_owned(), value);
+            match d.get_mut(key) {
+                Some(slot) => *slot = value,
+                None => {
+                    d.insert(key.to_owned(), value);
+                }
+            }
             self.dirty = true;
         }
     }

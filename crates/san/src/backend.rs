@@ -219,6 +219,28 @@ impl MapBackend {
     }
 }
 
+/// Writes `value` under `key`, bumping its version counter (tombstones
+/// included); see [`MapBackend`]'s `insert`.
+fn insert_slot(ns: &mut std::collections::BTreeMap<String, Slot>, key: &str, value: Value) -> u64 {
+    match ns.get_mut(key) {
+        Some(slot) => {
+            slot.version += 1;
+            slot.value = Some(value);
+            slot.version
+        }
+        None => {
+            ns.insert(
+                key.to_owned(),
+                Slot {
+                    version: 1,
+                    value: Some(value),
+                },
+            );
+            1
+        }
+    }
+}
+
 impl StoreBackend for MapBackend {
     fn name(&self) -> &'static str {
         "map"
@@ -253,14 +275,16 @@ impl StoreBackend for MapBackend {
     }
 
     fn insert(&mut self, namespace: &str, key: &str, value: Value) -> u64 {
-        let ns = self.namespaces.entry(namespace.to_owned()).or_default();
-        let slot = ns.entry(key.to_owned()).or_insert(Slot {
-            version: 0,
-            value: None,
-        });
-        slot.version += 1;
-        slot.value = Some(value);
-        slot.version
+        // Look up by `&str` first: only a namespace or key seen for the
+        // first time is copied, at the cost of one extra lookup.
+        if let Some(ns) = self.namespaces.get_mut(namespace) {
+            return insert_slot(ns, key, value);
+        }
+        insert_slot(
+            self.namespaces.entry(namespace.to_owned()).or_default(),
+            key,
+            value,
+        )
     }
 
     fn insert_many(&mut self, namespace: &str, entries: &[(&str, &Value)]) {

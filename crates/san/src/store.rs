@@ -5,6 +5,7 @@ use crate::fault::{FaultInjector, FaultPlan};
 use crate::{StoreError, Value};
 use dosgi_net::SimTime;
 use dosgi_telemetry::Telemetry;
+use std::borrow::Borrow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -232,14 +233,18 @@ impl SharedStore {
     /// [`StoreError::TornWrite`] reports how much; rewriting the full batch
     /// is the idempotent recovery.
     ///
+    /// Keys and values may be owned or borrowed (`(String, Value)`,
+    /// `(&str, &Value)`, …), so a caller holding its data elsewhere need
+    /// not copy it into owned pairs just to write it.
+    ///
     /// # Errors
     ///
     /// Fault-injected [`StoreError::Unavailable`] / [`StoreError::Io`] /
     /// [`StoreError::TornWrite`].
-    pub fn put_many(
+    pub fn put_many<K: AsRef<str>, V: Borrow<Value>>(
         &self,
         namespace: &str,
-        entries: &[(String, Value)],
+        entries: &[(K, V)],
     ) -> Result<usize, StoreError> {
         self.fault("put_many")?;
         let torn = self.faults.torn_len(entries.len());
@@ -252,14 +257,18 @@ impl SharedStore {
         // entry costs nothing and keeps its version. `pending` carries the
         // batch-so-far state so a duplicate key compares against the value
         // queued just before it, not the pre-batch one.
+        // Only a key that comes up again later in the batch needs its
+        // queued value remembered, so the last entry never enters
+        // `pending` and a one-entry batch allocates no map at all.
         let mut batch: Vec<(&str, &Value)> = Vec::with_capacity(persisted);
         let mut pending: HashMap<&str, &Value> = HashMap::new();
-        for (key, value) in &entries[..persisted] {
+        for (i, (key, value)) in entries[..persisted].iter().enumerate() {
+            let (key, value) = (key.as_ref(), value.borrow());
             // One size computation per entry (streamed, allocation-free)
             // serves change-detection stats and write accounting alike —
             // the value is never encoded just to be measured.
             let len = value.encoded_len() as u64;
-            let identical = match pending.get(key.as_str()) {
+            let identical = match pending.get(key) {
                 Some(queued) => crate::codec::codec_eq(queued, value),
                 None => inner
                     .backend
@@ -272,8 +281,10 @@ impl SharedStore {
                 continue;
             }
             bytes += len;
-            batch.push((key.as_str(), value));
-            pending.insert(key.as_str(), value);
+            batch.push((key, value));
+            if i + 1 < persisted {
+                pending.insert(key, value);
+            }
         }
         if !batch.is_empty() {
             inner.backend.insert_many(namespace, &batch);
@@ -862,5 +873,49 @@ mod tests {
             assert_eq!(dump[0].1[0].1.version, 2);
             assert_eq!(s.peek_versioned("a", "k").unwrap().version, 2);
         });
+    }
+
+    /// A batch given as borrowed `(&str, &Value)` pairs writes exactly
+    /// what the same batch as owned `(String, Value)` pairs writes —
+    /// versions, values and stats — and both match applying the entries
+    /// one `put` at a time, duplicates and unsorted keys included.
+    #[test]
+    fn prop_borrowed_and_owned_batches_write_identically() {
+        use dosgi_testkit::{prop, prop_verify_eq, Gen};
+        // Few keys and values, so batches repeat keys and rewrite stored
+        // values byte-identically.
+        let entry = Gen::new(|rng| {
+            (
+                format!("k{}", rng.u64_below(5)),
+                Value::Int(rng.u64_below(3) as i64),
+            )
+        });
+        let batch = prop::vecs(entry, 0, 10);
+        let case = Gen::new(move |rng| (batch.sample(rng), batch.sample(rng)));
+        prop::check(
+            "prop_borrowed_and_owned_batches_write_identically",
+            &case,
+            |(before, batch)| {
+                for kind in BackendKind::all() {
+                    let [owned, borrowed, one_by_one] =
+                        [(); 3].map(|_| SharedStore::with_kind(kind));
+                    for s in [&owned, &borrowed, &one_by_one] {
+                        s.put_many("ns", before).expect("no faults armed");
+                    }
+                    let refs: Vec<(&str, &Value)> =
+                        batch.iter().map(|(k, v)| (k.as_str(), v)).collect();
+                    prop_verify_eq!(owned.put_many("ns", batch), Ok(batch.len()));
+                    prop_verify_eq!(borrowed.put_many("ns", &refs), Ok(batch.len()));
+                    for (k, v) in batch {
+                        one_by_one.put("ns", k, v.clone()).expect("no faults armed");
+                    }
+                    prop_verify_eq!(owned.dump(), borrowed.dump());
+                    prop_verify_eq!(owned.stats(), borrowed.stats());
+                    prop_verify_eq!(owned.dump(), one_by_one.dump());
+                    prop_verify_eq!(owned.stats(), one_by_one.stats());
+                }
+                Ok(())
+            },
+        );
     }
 }

@@ -56,7 +56,7 @@ pub use trace::{
 };
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Counter name incremented when the closed-span ring buffer overflows.
 pub const DROPPED_SPANS: &str = "telemetry.dropped_spans";
@@ -153,10 +153,14 @@ impl Telemetry {
         self.inner.is_some()
     }
 
+    // The only caller code that runs under the lock is a `read` closure,
+    // which borrows the registry immutably, so a panic there leaves it
+    // intact. A poisoned lock is therefore taken over, not propagated: one
+    // panicking thread must not take telemetry down for every node.
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, Inner>> {
         self.inner
             .as_ref()
-            .map(|m| m.lock().expect("telemetry poisoned"))
+            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// Increment counter `name` by 1.
@@ -167,7 +171,7 @@ impl Telemetry {
     /// Increment counter `name` by `n`.
     pub fn add(&self, name: &str, n: u64) {
         if let Some(mut g) = self.lock() {
-            *g.counters.entry(name.to_owned()).or_insert(0) += n;
+            update(&mut g.counters, name, |c| *c += n);
         }
     }
 
@@ -181,7 +185,7 @@ impl Telemetry {
     /// Set gauge `name` to `v` (last write wins).
     pub fn gauge_set(&self, name: &str, v: i64) {
         if let Some(mut g) = self.lock() {
-            g.gauges.insert(name.to_owned(), v);
+            update(&mut g.gauges, name, |gauge| *gauge = v);
         }
     }
 
@@ -193,7 +197,7 @@ impl Telemetry {
     /// Record sample `v` into histogram `name`.
     pub fn record(&self, name: &str, v: u64) {
         if let Some(mut g) = self.lock() {
-            g.histograms.entry(name.to_owned()).or_default().record(v);
+            update(&mut g.histograms, name, |h| h.record(v));
         }
     }
 
@@ -226,7 +230,7 @@ impl Telemetry {
         if let Some(mut g) = self.lock() {
             if g.alerts.len() >= ALERT_CAPACITY {
                 g.alerts.pop_front();
-                *g.counters.entry(DROPPED_ALERTS.to_owned()).or_insert(0) += 1;
+                update(&mut g.counters, DROPPED_ALERTS, |c| *c += 1);
             }
             g.alerts.push_back(event);
         }
@@ -270,15 +274,15 @@ impl Telemetry {
             return true;
         };
         let Some(pos) = g.open.iter().rposition(|s| s.id == id.0) else {
-            *g.counters
-                .entry("telemetry.rejected_span_exits".to_owned())
-                .or_insert(0) += 1;
+            update(&mut g.counters, "telemetry.rejected_span_exits", |c| {
+                *c += 1
+            });
             return false;
         };
         let live = g.open.remove(pos);
         if g.closed.len() >= g.span_capacity {
             g.closed.pop_front();
-            *g.counters.entry(DROPPED_SPANS.to_owned()).or_insert(0) += 1;
+            update(&mut g.counters, DROPPED_SPANS, |c| *c += 1);
         }
         g.closed.push_back(ClosedSpan {
             id: live.id,
@@ -331,6 +335,19 @@ impl Telemetry {
     }
 }
 
+/// Applies `f` to the metric `name` (starting from its default), looking
+/// it up by `&str` so that only a name seen for the first time is copied.
+fn update<V: Default>(metrics: &mut BTreeMap<String, V>, name: &str, f: impl FnOnce(&mut V)) {
+    match metrics.get_mut(name) {
+        Some(v) => f(v),
+        None => {
+            let mut v = V::default();
+            f(&mut v);
+            metrics.insert(name.to_owned(), v);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -350,6 +367,23 @@ mod tests {
         let snap = t.snapshot("off", 1);
         assert!(snap.counters.is_empty());
         assert!(snap.spans.is_empty());
+    }
+
+    #[test]
+    fn a_panic_inside_read_does_not_poison_the_registry() {
+        let t = Telemetry::new();
+        t.incr("before");
+        let reader = t.clone();
+        let caught = std::panic::catch_unwind(move || {
+            reader.read(|_, _, _| panic!("a scraper bug"));
+        });
+        assert!(caught.is_err());
+        t.incr("before");
+        t.incr("after");
+        assert_eq!(t.counter("before"), 2);
+        assert_eq!(t.counter("after"), 1);
+        let snap = t.snapshot("s", 0);
+        assert_eq!(snap.counters.get("after"), Some(&1));
     }
 
     #[test]

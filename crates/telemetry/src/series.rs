@@ -234,6 +234,9 @@ pub struct SeriesScraper {
     last_hists: BTreeMap<String, HistCursor>,
     series: BTreeMap<String, Series>,
     scrapes: u64,
+    // Reused to spell `<kind>:<metric>` series names, so a scrape only
+    // allocates for a series it has not seen before.
+    key: String,
 }
 
 impl SeriesScraper {
@@ -246,6 +249,7 @@ impl SeriesScraper {
             last_hists: BTreeMap::new(),
             series: BTreeMap::new(),
             scrapes: 0,
+            key: String::new(),
         }
     }
 
@@ -268,7 +272,12 @@ impl SeriesScraper {
 
         let dropped_before = self.total_dropped();
         let capacity = self.config.capacity;
-        let series = &mut self.series;
+        let mut out = SeriesSink {
+            series: &mut self.series,
+            key: &mut self.key,
+            capacity,
+            at_us: now_us,
+        };
         let last_counters = &mut self.last_counters;
         let last_hists = &mut self.last_hists;
         telemetry.read(|counters, gauges, histograms| {
@@ -279,32 +288,35 @@ impl SeriesScraper {
                 if name.starts_with("telemetry.series.") {
                     continue;
                 }
-                let prev = last_counters.insert(name.clone(), *cum).unwrap_or(0);
+                let prev = match last_counters.get_mut(name.as_str()) {
+                    Some(last) => std::mem::replace(last, *cum),
+                    None => {
+                        last_counters.insert(name.clone(), *cum);
+                        0
+                    }
+                };
                 let delta = cum.saturating_sub(prev);
-                push_point(
-                    series,
-                    SeriesKind::Rate,
-                    name,
-                    now_us,
-                    delta as i64,
-                    capacity,
-                );
+                out.push(SeriesKind::Rate, name, delta as i64);
             }
             for (name, v) in gauges {
-                push_point(series, SeriesKind::Gauge, name, now_us, *v, capacity);
+                out.push(SeriesKind::Gauge, name, *v);
             }
             for (name, h) in histograms {
                 let cur = cursor_of(h);
-                let prev = last_hists.insert(name.clone(), cur.clone());
-                let (delta_buckets, delta_count) = match prev {
+                let (delta_buckets, delta_count) = match last_hists.get_mut(name.as_str()) {
                     Some(p) => {
                         let mut d = [0u64; BUCKETS];
                         for (i, slot) in d.iter_mut().enumerate() {
                             *slot = cur.buckets[i].saturating_sub(p.buckets[i]);
                         }
-                        (d, cur.count.saturating_sub(p.count))
+                        let count = cur.count.saturating_sub(p.count);
+                        *p = cur;
+                        (d, count)
                     }
-                    None => (cur.buckets, cur.count),
+                    None => {
+                        last_hists.insert(name.clone(), cur.clone());
+                        (cur.buckets, cur.count)
+                    }
                 };
                 if delta_count == 0 {
                     continue; // no samples this window: no percentile point
@@ -315,7 +327,7 @@ impl SeriesScraper {
                     (SeriesKind::P99, 99),
                 ] {
                     if let Some(v) = window_percentile(&delta_buckets, delta_count, p) {
-                        push_point(series, kind, name, now_us, v as i64, capacity);
+                        out.push(kind, name, v as i64);
                     }
                 }
             }
@@ -381,18 +393,36 @@ fn cursor_of(h: &Histogram) -> HistCursor {
     }
 }
 
-fn push_point(
-    series: &mut BTreeMap<String, Series>,
-    kind: SeriesKind,
-    metric: &str,
-    at_us: u64,
-    value: i64,
+/// Where one scrape's points go: the series map plus the reusable name
+/// buffer.
+struct SeriesSink<'a> {
+    series: &'a mut BTreeMap<String, Series>,
+    key: &'a mut String,
     capacity: usize,
-) {
-    series
-        .entry(format!("{}:{}", kind.prefix(), metric))
-        .or_insert_with(|| Series::new(kind, capacity))
-        .push(SeriesPoint { at_us, value });
+    at_us: u64,
+}
+
+impl SeriesSink<'_> {
+    /// Appends a point to series `<kind>:<metric>`, creating the series
+    /// (and copying its name) only the first time.
+    fn push(&mut self, kind: SeriesKind, metric: &str, value: i64) {
+        self.key.clear();
+        self.key.push_str(kind.prefix());
+        self.key.push(':');
+        self.key.push_str(metric);
+        let point = SeriesPoint {
+            at_us: self.at_us,
+            value,
+        };
+        match self.series.get_mut(self.key.as_str()) {
+            Some(s) => s.push(point),
+            None => {
+                let mut s = Series::new(kind, self.capacity);
+                s.push(point);
+                self.series.insert(self.key.clone(), s);
+            }
+        }
+    }
 }
 
 #[cfg(test)]

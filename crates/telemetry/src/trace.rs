@@ -49,7 +49,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Schema version stamped into exported trace files (`metadata.schema`).
 pub const TRACE_SCHEMA_VERSION: u64 = 1;
@@ -219,10 +219,13 @@ impl FlightRecorder {
         self.inner.is_some()
     }
 
+    // As with the registry: a thread that panicked while holding the lock
+    // must not turn every later call on this recorder into a panic too.
+    // The ring and the clock stay usable, so a poisoned lock is taken over.
     fn lock(&self) -> Option<std::sync::MutexGuard<'_, RecInner>> {
         self.inner
             .as_ref()
-            .map(|m| m.lock().expect("flight recorder poisoned"))
+            .map(|m| m.lock().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The node this recorder stamps events with.
@@ -522,6 +525,25 @@ impl TraceLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_panic_under_the_lock_does_not_poison_the_recorder() {
+        let r = FlightRecorder::new(2);
+        let before = r.root("before", 0);
+        let inner = r.inner.clone().expect("enabled");
+        let poisoner = std::thread::spawn(move || {
+            let _held = inner.lock().unwrap_or_else(PoisonError::into_inner);
+            panic!("a node thread dies holding the recorder");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(r.inner.as_ref().is_some_and(|m| m.is_poisoned()));
+        let after = r.root("after", 5);
+        assert!(r.end(before, 6));
+        assert!(r.end(after, 7));
+        let names: Vec<String> = r.events().into_iter().map(|e| e.name).collect();
+        assert_eq!(names, ["before", "after"]);
+        assert!(r.clock() > 0);
+    }
 
     #[test]
     fn disabled_recorder_is_inert() {
