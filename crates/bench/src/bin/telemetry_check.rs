@@ -1,5 +1,5 @@
 //! Schema check for telemetry snapshots: every `results/telemetry_*.json`
-//! must parse as strict JSON and carry the v3 snapshot schema — a
+//! must parse as strict JSON and carry the v4 snapshot schema — a
 //! `schema_version`, the producing run's `seed`, a non-empty `counters`
 //! object (a snapshot with no counters means the instrumentation went
 //! dark, which is a wiring bug, not an empty workload), coherent
@@ -418,25 +418,40 @@ mod tests {
         let good = dir.join("telemetry_good.json");
         std::fs::write(
             &good,
-            r#"{"schema_version":3,"label":"t","seed":1,
+            r#"{"schema_version":4,"label":"t","seed":1,
                 "counters":{"x":1},"gauges":{},
                 "histograms":{"h":{"count":1,"sum":8,"min":8,"max":8,
                   "p50":8,"p95":8,"p99":8,"buckets":[[4,1]]}},
-                "open_spans":[],"alerts":[],"dropped_spans":0}"#,
+                "alerts":[]}"#,
         )
         .unwrap();
         assert!(check_file(&good).is_ok());
         let bad = dir.join("telemetry_bad.json");
         std::fs::write(
             &bad,
-            r#"{"schema_version":3,"label":"t","seed":1,
+            r#"{"schema_version":4,"label":"t","seed":1,
                 "counters":{"x":1},"gauges":{},
                 "histograms":{"h":{"count":5,"sum":8,"min":8,"max":8,
                   "p50":8,"p95":8,"p99":8,"buckets":[[4,1]]}},
-                "open_spans":[],"alerts":[],"dropped_spans":0}"#,
+                "alerts":[]}"#,
         )
         .unwrap();
         assert!(check_file(&bad).unwrap_err().contains("bucket counts"));
+        // A v3 file (it still carries the retired span-ring keys) is
+        // refused on its version alone.
+        let v3 = dir.join("telemetry_v3.json");
+        std::fs::write(
+            &v3,
+            r#"{"schema_version":3,"label":"t","seed":1,
+                "counters":{"x":1},"gauges":{},"histograms":{},
+                "spans":[],"open_spans":[],"alerts":[],"dropped_spans":0}"#,
+        )
+        .unwrap();
+        let err = check_file(&v3).unwrap_err();
+        assert!(
+            err.contains("schema_version 3 != supported 4"),
+            "unexpected error: {err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

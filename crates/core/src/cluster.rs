@@ -7,11 +7,10 @@ use crate::{AdoptReason, CoreError, NodeEvent, SlaTracker};
 use dosgi_net::{LinkConfig, NodeId, Partition, SimDuration, SimNet, SimTime};
 use dosgi_san::{BackendKind, SharedStore, Value};
 use dosgi_telemetry::{
-    FlightRecorder, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot, SpanId,
+    FlightRecorder, HealthState, ScrapeConfig, SeriesScraper, SloEngine, SloSpec, Snapshot,
     Telemetry, TraceLog,
 };
 use dosgi_vosgi::InstanceDescriptor;
-use std::collections::BTreeMap;
 
 /// Cluster-wide configuration.
 #[derive(Debug, Clone)]
@@ -76,9 +75,6 @@ pub struct DosgiCluster {
     sla: SlaTracker,
     events: Vec<(NodeId, NodeEvent)>,
     telemetry: Telemetry,
-    // Open `core.migration.handoff/<name>` spans: entered when the old home
-    // releases the instance, exited when the new home reports adoption.
-    handoff_spans: BTreeMap<String, SpanId>,
     observability: Option<Observability>,
     // Test-only: skip a node's tick while its mailbox is empty and its
     // `next_deadline` lies in the future — the real-clock worker's wake
@@ -185,7 +181,6 @@ impl DosgiCluster {
             sla: SlaTracker::new(),
             events: Vec::new(),
             telemetry,
-            handoff_spans: BTreeMap::new(),
             observability: None,
             #[cfg(test)]
             skip_idle_ticks: false,
@@ -589,27 +584,11 @@ impl DosgiCluster {
         }
         for (i, slot) in self.slots.iter_mut().enumerate() {
             for e in slot.node.take_events() {
-                match &e {
-                    // A release opens the cross-node handoff span; the
-                    // matching Adopted (on the destination) closes it.
-                    NodeEvent::Released { at, name, .. } => {
-                        let span = self
-                            .telemetry
-                            .span_enter(&format!("core.migration.handoff/{name}"), at.as_micros());
-                        self.handoff_spans.insert(name.clone(), span);
-                    }
-                    NodeEvent::Adopted { at, name, reason } => match reason {
-                        AdoptReason::Migration => {
-                            if let Some(span) = self.handoff_spans.remove(name) {
-                                self.telemetry.span_exit(span, at.as_micros());
-                            }
-                            self.telemetry.incr("core.migration.completed");
-                        }
-                        AdoptReason::Failover => {
-                            self.telemetry.incr("core.failover.adoptions");
-                        }
-                    },
-                    _ => {}
+                if let NodeEvent::Adopted { reason, .. } = &e {
+                    self.telemetry.incr(match reason {
+                        AdoptReason::Migration => "core.migration.completed",
+                        AdoptReason::Failover => "core.failover.adoptions",
+                    });
                 }
                 self.events.push((NodeId(i as u32), e));
             }

@@ -13,7 +13,7 @@ use dosgi_net::{Fabric, NodeId, SimDuration, SimTime};
 use dosgi_osgi::{BundleManifest, Framework};
 use dosgi_policy::PolicyAction;
 use dosgi_san::{SharedStore, Value};
-use dosgi_telemetry::{FlightRecorder, SpanId, Telemetry, TraceContext, TraceRef};
+use dosgi_telemetry::{FlightRecorder, Telemetry, TraceContext, TraceRef};
 use dosgi_vosgi::{InstanceDescriptor, InstanceManager, ResourceQuota};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -141,11 +141,9 @@ struct PendingAdoption {
     reason: AdoptReason,
     /// How many materialization attempts already failed transiently.
     attempt: u32,
-    /// The `core.adopt` span opened when the adoption was queued; closed
-    /// when the ticket materializes, is overruled, or quarantines.
-    span: SpanId,
     /// The causal `adopt/<name>` trace span, if the triggering control
-    /// message carried a context; closed alongside `span`.
+    /// message carried a context; closed when the ticket materializes, is
+    /// overruled, or quarantines.
     trace: TraceRef,
 }
 
@@ -161,9 +159,6 @@ struct PendingUpgrade {
     manifest: BundleManifest,
     /// How many swap attempts already failed transiently.
     attempt: u32,
-    /// The `core.upgrade` telemetry span; closed when the swap lands or
-    /// fails permanently (kept across retries — see `upgrade_traces`).
-    span: SpanId,
 }
 
 impl std::fmt::Debug for DosgiNode {
@@ -632,7 +627,7 @@ impl DosgiNode {
             return;
         }
         self.last_sweep = Some(now);
-        let view = self.gcs.view().clone();
+        let view = self.gcs.view();
         if !view.has_majority(self.gcs.universe() - self.departed_peers.len()) {
             return;
         }
@@ -641,11 +636,11 @@ impl DosgiNode {
                 .registry
                 .records()
                 .flat_map(|r| {
-                    let mut endpoints = vec![r.home];
-                    if let InstanceStatus::Migrating { to } = r.status {
-                        endpoints.push(to);
-                    }
-                    endpoints
+                    let to = match r.status {
+                        InstanceStatus::Migrating { to } => Some(to),
+                        _ => None,
+                    };
+                    std::iter::once(r.home).chain(to)
                 })
                 .filter(|n| !view.contains(*n))
                 .collect();
@@ -1094,9 +1089,6 @@ impl DosgiNode {
         } else {
             self.config.san.read_cost(state_bytes) + self.config.start_cost_per_bundle * bundles
         };
-        let span = self
-            .telemetry
-            .span_enter(&format!("core.adopt/{name}"), now.as_micros());
         let trace = match ctx {
             Some(c) => self
                 .recorder
@@ -1108,7 +1100,6 @@ impl DosgiNode {
             name: name.to_owned(),
             reason,
             attempt: 0,
-            span,
             trace,
         });
     }
@@ -1136,7 +1127,6 @@ impl DosgiNode {
                 .map(|r| r.home == self.id && r.status == InstanceStatus::Placed)
                 .unwrap_or(false);
             if !still_ours {
-                self.telemetry.span_exit(p.span, now.as_micros());
                 self.recorder.end(p.trace, now.as_micros());
                 self.telemetry.incr("core.adopt.overruled");
                 continue;
@@ -1147,14 +1137,12 @@ impl DosgiNode {
                 Some(iid) => self.mgr.start_instance(iid).map(|_| iid),
                 None => {
                     let Some(rec) = self.registry.record(&p.name) else {
-                        self.telemetry.span_exit(p.span, now.as_micros());
                         self.recorder.end(p.trace, now.as_micros());
                         continue;
                     };
                     match InstanceDescriptor::from_value(&rec.descriptor) {
                         Ok(d) => self.mgr.adopt_instance(d),
                         Err(e) => {
-                            self.telemetry.span_exit(p.span, now.as_micros());
                             self.recorder.end(p.trace, now.as_micros());
                             self.events.push(NodeEvent::AdoptFailed {
                                 at: now,
@@ -1192,7 +1180,6 @@ impl DosgiNode {
                             now,
                         );
                     } else {
-                        self.telemetry.span_exit(p.span, now.as_micros());
                         self.recorder.end(p.trace, now.as_micros());
                         self.events.push(NodeEvent::Adopted {
                             at: now,
@@ -1244,9 +1231,6 @@ impl DosgiNode {
             let root = self.recorder.root(&format!("upgrade/{name}"), now_us);
             self.upgrade_traces.insert(key, root);
         }
-        let span = self
-            .telemetry
-            .span_enter(&format!("core.upgrade/{name}"), now_us);
         let state_bytes = self
             .mgr
             .instance(iid)
@@ -1262,7 +1246,6 @@ impl DosgiNode {
             name: name.to_owned(),
             manifest,
             attempt: 0,
-            span,
         });
         Ok(())
     }
@@ -1301,7 +1284,6 @@ impl DosgiNode {
             // The instance may have migrated away or crashed between the
             // request and the swap instant: abandon the ticket cleanly.
             let Some(iid) = self.mgr.find_by_name(&p.name) else {
-                self.telemetry.span_exit(p.span, now_us);
                 if let Some(root) = self.upgrade_traces.remove(&key) {
                     self.recorder.end(root, now_us);
                 }
@@ -1348,7 +1330,6 @@ impl DosgiNode {
                     self.recorder.end(a, adopt_end);
                     self.recorder.end(root, adopt_end);
                     self.finished_upgrade_traces.insert(p.name.clone(), root);
-                    self.telemetry.span_exit(p.span, now_us);
                     self.telemetry.incr("core.upgrade.completed");
                     self.telemetry
                         .record("core.upgrade.blackout_us", blackout.as_micros());
@@ -1384,7 +1365,6 @@ impl DosgiNode {
                             ..p
                         });
                     } else {
-                        self.telemetry.span_exit(p.span, now_us);
                         if let Some(root) = self.upgrade_traces.remove(&key) {
                             self.recorder.end(root, now_us);
                         }
@@ -1417,7 +1397,6 @@ impl DosgiNode {
         now: SimTime,
     ) {
         if !transient {
-            self.telemetry.span_exit(p.span, now.as_micros());
             self.recorder.end(p.trace, now.as_micros());
             self.events.push(NodeEvent::AdoptFailed {
                 at: now,
@@ -1428,7 +1407,6 @@ impl DosgiNode {
         }
         let failures = p.attempt + 1;
         if self.config.retry.exhausted(failures) {
-            self.telemetry.span_exit(p.span, now.as_micros());
             self.telemetry.incr("san.quarantines");
             self.events.push(NodeEvent::Quarantined {
                 at: now,
@@ -1464,7 +1442,6 @@ impl DosgiNode {
             name: p.name,
             reason: p.reason,
             attempt: failures,
-            span: p.span,
             trace: p.trace,
         });
     }
@@ -1482,18 +1459,18 @@ impl DosgiNode {
             return;
         }
         self.last_sample = Some(now);
-        let usages: Vec<(String, dosgi_osgi::UsageSnapshot)> = self
-            .mgr
-            .instances()
-            .map(|i| (i.descriptor.name.clone(), i.usage()))
-            .collect();
-        for (name, usage) in usages {
-            // Bridge the monitor's windowed series into the telemetry
-            // registry as per-instance gauges. Integer-scaled from the raw
-            // window counters (never through the f64 series) so snapshot
-            // bytes stay deterministic: CPU share in per-mille of one core,
-            // call rate in milli-calls per second.
-            if let Some(w) = self.monitor.record(&name, now, usage) {
+        for instance in self.mgr.instances() {
+            let name = &instance.descriptor.name;
+            // Bridge each closed window into the telemetry registry as
+            // per-instance gauges, which `telemetry::series` turns into
+            // history. Integer-scaled from the raw window counters (never
+            // through the f64 rates) so snapshot bytes stay deterministic:
+            // CPU share in per-mille of one core, call rate in milli-calls
+            // per second. The names are only spelled for a live registry.
+            let Some(w) = self.monitor.record(name, now, instance.usage()) else {
+                continue;
+            };
+            if self.telemetry.is_enabled() {
                 let window_us = w.window.as_micros().max(1);
                 let cpu_pm = w.cpu.as_micros().saturating_mul(1000) / window_us;
                 let call_mcps = w.calls.saturating_mul(1_000_000_000) / window_us;

@@ -8,29 +8,24 @@
 //! the Resource Consumption Management API**.
 //!
 //! The simulation is not subject to the JVM's limits, so this crate simply
-//! *implements* the JSR-284 model the paper wanted:
+//! *implements* the measurements the paper wanted from JSR-284:
 //!
-//! * [`ResourceDomain`] — a named accounting domain (one per customer
-//!   instance) with per-[`ResourceType`] limits, reservations and
-//!   consumption, in the JSR-284 style;
 //! * [`Sampler`] — turns cumulative [`UsageSnapshot`]s (from the
 //!   `dosgi-osgi` ledger) into windowed rates: CPU share of a core, calls
 //!   per second, memory gauge;
-//! * [`TimeSeries`] — bounded history with mean/max/EWMA/percentile, the
-//!   inputs to autonomic policy conditions;
+//! * [`MonitoringModule`] — one sampler per subject and its latest
+//!   window, the inputs to autonomic policy conditions (the history of
+//!   those windows lives in `dosgi-telemetry`'s series, scraped from the
+//!   `monitor.<name>.*` gauges the node publishes);
 //! * [`NodeCapacity`] — a node's total resources and the `fits` test the
 //!   Migration Module uses when choosing a failover destination.
 //!
 //! [`UsageSnapshot`]: dosgi_osgi::UsageSnapshot
 
 mod capacity;
-mod domain;
 mod module;
 mod sample;
-mod series;
 
 pub use capacity::NodeCapacity;
-pub use domain::{DomainEvent, ResourceDomain, ResourceType};
-pub use module::{MonitoringModule, SubjectReport};
+pub use module::MonitoringModule;
 pub use sample::{Sampler, WindowedUsage};
-pub use series::TimeSeries;

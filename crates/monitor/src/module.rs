@@ -1,33 +1,18 @@
-//! The Monitoring Module: per-subject samplers and series under one roof.
+//! The Monitoring Module: one sampler and the latest window per subject.
 
-use crate::{Sampler, TimeSeries, WindowedUsage};
+use crate::{Sampler, WindowedUsage};
 use dosgi_net::SimTime;
 use dosgi_osgi::UsageSnapshot;
 use std::collections::BTreeMap;
 
-/// Aggregated statistics for one monitored subject (a virtual instance,
-/// keyed by name).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SubjectReport {
-    /// The subject's key.
-    pub subject: String,
-    /// Most recent windowed usage, if at least two samples exist.
-    pub latest: Option<WindowedUsage>,
-    /// Mean CPU share over the series window.
-    pub cpu_share_mean: Option<f64>,
-    /// EWMA CPU share.
-    pub cpu_share_ewma: Option<f64>,
-    /// Peak memory seen in the window.
-    pub memory_max: Option<f64>,
-    /// Mean call rate.
-    pub call_rate_mean: Option<f64>,
-}
-
 /// The per-node Monitoring Module: feed it cumulative usage snapshots per
-/// subject (typically once per sampling period), query windowed statistics.
+/// subject (typically once per sampling period), read back the latest
+/// window.
 ///
 /// This is the component §3.1 could not fully build on a 2008 JVM; the
 /// blackboard it produces is the input to the Autonomic Module's policies.
+/// It keeps no history: the per-window record of each subject is the
+/// `monitor.<name>.*` telemetry gauges, which `telemetry::series` scrapes.
 #[derive(Debug, Clone, Default)]
 pub struct MonitoringModule {
     subjects: BTreeMap<String, SubjectState>,
@@ -36,9 +21,6 @@ pub struct MonitoringModule {
 #[derive(Debug, Clone, Default)]
 struct SubjectState {
     sampler: Sampler,
-    cpu_share: TimeSeries,
-    memory: TimeSeries,
-    call_rate: TimeSeries,
     latest: Option<WindowedUsage>,
 }
 
@@ -49,18 +31,19 @@ impl MonitoringModule {
     }
 
     /// Records a cumulative snapshot for `subject` at `now`. Returns the
-    /// windowed usage if a full window closed.
+    /// windowed usage if a full window closed. The subject's name is
+    /// copied only the first time it is seen.
     pub fn record(
         &mut self,
         subject: &str,
         now: SimTime,
         snapshot: UsageSnapshot,
     ) -> Option<WindowedUsage> {
-        let state = self.subjects.entry(subject.to_owned()).or_default();
+        let state = match self.subjects.get_mut(subject) {
+            Some(state) => state,
+            None => self.subjects.entry(subject.to_owned()).or_default(),
+        };
         let window = state.sampler.observe(now, snapshot)?;
-        state.cpu_share.push(window.cpu_share);
-        state.memory.push(window.memory as f64);
-        state.call_rate.push(window.call_rate);
         state.latest = Some(window);
         Some(window)
     }
@@ -68,36 +51,6 @@ impl MonitoringModule {
     /// The latest windowed usage for `subject`.
     pub fn latest(&self, subject: &str) -> Option<WindowedUsage> {
         self.subjects.get(subject).and_then(|s| s.latest)
-    }
-
-    /// The CPU-share series for `subject`.
-    pub fn cpu_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.cpu_share)
-    }
-
-    /// The memory series for `subject`.
-    pub fn memory_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.memory)
-    }
-
-    /// The call-rate series for `subject`.
-    pub fn call_rate_series(&self, subject: &str) -> Option<&TimeSeries> {
-        self.subjects.get(subject).map(|s| &s.call_rate)
-    }
-
-    /// Full reports for every subject, sorted by key.
-    pub fn report(&self) -> Vec<SubjectReport> {
-        self.subjects
-            .iter()
-            .map(|(k, s)| SubjectReport {
-                subject: k.clone(),
-                latest: s.latest,
-                cpu_share_mean: s.cpu_share.mean(),
-                cpu_share_ewma: s.cpu_share.ewma(),
-                memory_max: s.memory.max(),
-                call_rate_mean: s.call_rate.mean(),
-            })
-            .collect()
     }
 
     /// Sum of the latest CPU shares across subjects — the node-level load
@@ -122,11 +75,6 @@ impl MonitoringModule {
     /// Forgets a subject (after migration away or destruction).
     pub fn forget(&mut self, subject: &str) {
         self.subjects.remove(subject);
-    }
-
-    /// Monitored subject keys, sorted.
-    pub fn subjects(&self) -> Vec<&str> {
-        self.subjects.keys().map(String::as_str).collect()
     }
 }
 
@@ -154,13 +102,23 @@ mod tests {
             .record("a", SimTime::from_secs(1), snap(250, 20, 5))
             .unwrap();
         assert!((w.cpu_share - 0.25).abs() < 1e-9);
-        m.record("a", SimTime::from_secs(2), snap(750, 30, 15))
+        let w = m
+            .record("a", SimTime::from_secs(2), snap(750, 30, 15))
             .unwrap();
-        let series = m.cpu_series("a").unwrap();
-        assert_eq!(series.len(), 2);
-        assert!((series.mean().unwrap() - 0.375).abs() < 1e-9);
-        assert_eq!(m.latest("a").unwrap().memory, 30);
-        assert_eq!(m.subjects(), vec!["a"]);
+        assert_eq!(m.latest("a"), Some(w));
+        assert!((w.cpu_share - 0.5).abs() < 1e-9);
+        assert_eq!(w.memory, 30);
+    }
+
+    #[test]
+    fn report_covers_all_subjects() {
+        let mut m = MonitoringModule::new();
+        m.record("a", SimTime::from_secs(0), snap(0, 0, 0));
+        m.record("b", SimTime::from_secs(0), snap(0, 0, 0));
+        m.record("a", SimTime::from_secs(1), snap(100, 5, 2));
+        assert_eq!(m.latest("a").unwrap().memory, 5);
+        assert_eq!(m.latest("b"), None, "b has only one sample");
+        assert_eq!(m.total_memory(), 5);
     }
 
     #[test]
@@ -175,24 +133,12 @@ mod tests {
     }
 
     #[test]
-    fn report_covers_all_subjects() {
-        let mut m = MonitoringModule::new();
-        m.record("a", SimTime::from_secs(0), snap(0, 0, 0));
-        m.record("b", SimTime::from_secs(0), snap(0, 0, 0));
-        m.record("a", SimTime::from_secs(1), snap(100, 5, 2));
-        let report = m.report();
-        assert_eq!(report.len(), 2);
-        assert_eq!(report[0].subject, "a");
-        assert!(report[0].latest.is_some());
-        assert!(report[1].latest.is_none(), "b has only one sample");
-    }
-
-    #[test]
     fn forget_removes_subject() {
         let mut m = MonitoringModule::new();
         m.record("a", SimTime::from_secs(0), snap(0, 0, 0));
+        m.record("a", SimTime::from_secs(1), snap(10, 0, 0));
         m.forget("a");
-        assert!(m.subjects().is_empty());
         assert_eq!(m.latest("a"), None);
+        assert_eq!(m.total_memory(), 0);
     }
 }

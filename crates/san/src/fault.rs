@@ -126,10 +126,9 @@ impl Default for InjectorState {
 
 /// The shared fault decision point.
 ///
-/// A [`SharedStore`](crate::SharedStore) owns one; a
-/// [`Journal`](crate::Journal) can adopt the same injector so store and
-/// journal faults come from one plan and one RNG stream. Clones share
-/// state (`Arc` semantics), mirroring the store itself.
+/// A [`SharedStore`](crate::SharedStore) owns one, and every fallible
+/// operation on it draws from the injector's one plan and RNG stream.
+/// Clones share state (`Arc` semantics), mirroring the store itself.
 #[derive(Debug, Clone, Default)]
 pub struct FaultInjector {
     state: Arc<Mutex<InjectorState>>,

@@ -47,7 +47,6 @@ pub mod codec;
 pub mod conformance;
 mod error;
 pub mod fault;
-mod journal;
 mod log;
 mod profile;
 mod store;
@@ -56,7 +55,6 @@ mod value;
 pub use backend::{BackendKind, BackendStats, KeyVersion, MapBackend, StoreBackend};
 pub use error::StoreError;
 pub use fault::{FaultInjector, FaultPlan, RetryPolicy};
-pub use journal::{Journal, JournalEntry, JournalOp};
 pub use log::{LogBackend, LogConfig};
 pub use profile::SanProfile;
 pub use store::{SharedStore, StoreStats, Versioned};

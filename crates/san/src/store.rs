@@ -163,8 +163,8 @@ impl SharedStore {
     // Fault layer wiring
     // ------------------------------------------------------------------
 
-    /// The store's fault injector (share it with a
-    /// [`Journal`](crate::Journal) so both draw from one plan and stream).
+    /// The store's fault injector (a clone shares its plan and RNG
+    /// stream, so tests can inspect or steer the faults it draws).
     pub fn faults(&self) -> &FaultInjector {
         &self.faults
     }

@@ -7,14 +7,17 @@
 //! is a `BTreeMap`, so the same recorded state always serializes to the
 //! same bytes.
 //!
-//! Schema (version 3 — v3 added the `alerts` timeline of SLO burn-rate
-//! transitions recorded by [`crate::SloEngine`]; v2 added the derived
-//! `p50`/`p95`/`p99` summary fields on histogram entries, computed from
-//! the log buckets by [`Histogram::percentile`]):
+//! Schema (version 4 — v4 dropped the `spans`, `open_spans` and
+//! `dropped_spans` keys of the retired registry span ring: causal spans
+//! live in the [`crate::FlightRecorder`]'s trace export; v3 added the
+//! `alerts` timeline of SLO burn-rate transitions recorded by
+//! [`crate::SloEngine`]; v2 added the derived `p50`/`p95`/`p99` summary
+//! fields on histogram entries, computed from the log buckets by
+//! [`Histogram::percentile`]):
 //!
 //! ```json
 //! {
-//!   "schema_version": 3,
+//!   "schema_version": 4,
 //!   "label": "chaos",
 //!   "seed": 7,
 //!   "counters": {"gcs.view.installed": 12, ...},
@@ -26,16 +29,10 @@
 //!       "buckets": [[10, 2], [13, 1]]
 //!     }
 //!   },
-//!   "spans": [
-//!     {"id": 1, "name": "core.migration.handoff/acme-web",
-//!      "start_us": 100, "end_us": 4200, "parent": null}
-//!   ],
-//!   "open_spans": [ ...same shape, no "end_us"... ],
 //!   "alerts": [
 //!     {"slo": "std-latency", "at_us": 8750000, "state": "firing",
 //!      "window": "fast", "burn_x100": 4100}
-//!   ],
-//!   "dropped_spans": 0
+//!   ]
 //! }
 //! ```
 
@@ -46,43 +43,7 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 /// Current snapshot schema version.
-pub const SCHEMA_VERSION: u64 = 3;
-
-/// A completed span: `[start_us, end_us]` in simulated microseconds.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ClosedSpan {
-    /// Registry-unique span id (ids start at 1).
-    pub id: u64,
-    /// Span name, `crate.subsystem.phase` style.
-    pub name: String,
-    /// Simulated time the span was entered, in microseconds.
-    pub start_us: u64,
-    /// Simulated time the span was exited, in microseconds.
-    pub end_us: u64,
-    /// Id of the enclosing span open at enter time, if any.
-    pub parent: Option<u64>,
-}
-
-impl ClosedSpan {
-    /// Span duration in simulated microseconds (0 if clocks ran
-    /// backwards, which the sim never does).
-    pub fn duration_us(&self) -> u64 {
-        self.end_us.saturating_sub(self.start_us)
-    }
-}
-
-/// A span still open at snapshot time (unbalanced enter).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OpenSpan {
-    /// Registry-unique span id.
-    pub id: u64,
-    /// Span name.
-    pub name: String,
-    /// Simulated enter time in microseconds.
-    pub start_us: u64,
-    /// Id of the enclosing span open at enter time, if any.
-    pub parent: Option<u64>,
-}
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// A point-in-time copy of a telemetry registry, serializable to
 /// deterministic JSON.
@@ -100,10 +61,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, i64>,
     /// Log-bucketed histograms.
     pub histograms: BTreeMap<String, Histogram>,
-    /// Closed spans, oldest first (bounded by the ring capacity).
-    pub spans: Vec<ClosedSpan>,
-    /// Spans still open when the snapshot was taken.
-    pub open_spans: Vec<OpenSpan>,
     /// SLO alert transitions, oldest first (the v3 alert timeline).
     pub alerts: Vec<AlertEvent>,
 }
@@ -116,15 +73,6 @@ fn opt_u64(v: Option<u64>) -> String {
 }
 
 impl Snapshot {
-    /// Spans dropped from the ring buffer before this snapshot (the
-    /// `telemetry.dropped_spans` counter).
-    pub fn dropped_spans(&self) -> u64 {
-        self.counters
-            .get(crate::DROPPED_SPANS)
-            .copied()
-            .unwrap_or(0)
-    }
-
     /// Serialize to compact, byte-deterministic JSON (trailing newline).
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -163,32 +111,7 @@ impl Snapshot {
                 buckets.join(",")
             );
         }
-        out.push_str("},\"spans\":[");
-        for (i, s) in self.spans.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"id\":{},\"name\":{:?},\"start_us\":{},\"end_us\":{},\"parent\":{}}}",
-                if i > 0 { "," } else { "" },
-                s.id,
-                s.name,
-                s.start_us,
-                s.end_us,
-                opt_u64(s.parent)
-            );
-        }
-        out.push_str("],\"open_spans\":[");
-        for (i, s) in self.open_spans.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}{{\"id\":{},\"name\":{:?},\"start_us\":{},\"parent\":{}}}",
-                if i > 0 { "," } else { "" },
-                s.id,
-                s.name,
-                s.start_us,
-                opt_u64(s.parent)
-            );
-        }
-        out.push_str("],\"alerts\":[");
+        out.push_str("},\"alerts\":[");
         for (i, a) in self.alerts.iter().enumerate() {
             let _ = write!(
                 out,
@@ -201,7 +124,7 @@ impl Snapshot {
                 a.burn_x100
             );
         }
-        let _ = writeln!(out, "],\"dropped_spans\":{}}}", self.dropped_spans());
+        out.push_str("]}\n");
         out
     }
 
@@ -226,9 +149,6 @@ mod tests {
         t.gauge_set("a.b.level", -4);
         t.record("a.b.lat_us", 0);
         t.record("a.b.lat_us", 700);
-        let s = t.span_enter("a.phase", 10);
-        t.span_exit(s, 25);
-        t.span_enter("a.open", 30);
         t.record_alert(AlertEvent {
             slo: "std-latency".to_owned(),
             at_us: 40,
@@ -247,7 +167,7 @@ mod tests {
     #[test]
     fn json_contains_required_fields() {
         let j = sample().to_json();
-        assert!(j.starts_with("{\"schema_version\":3,"));
+        assert!(j.starts_with("{\"schema_version\":4,"));
         assert!(j.contains("\"label\":\"unit\""));
         assert!(j.contains("\"seed\":42"));
         assert!(j.contains("\"a.b.count\":3"));
@@ -257,13 +177,32 @@ mod tests {
         assert!(j.contains(
             "\"count\":2,\"sum\":700,\"min\":0,\"max\":700,\"p50\":0,\"p95\":512,\"p99\":512"
         ));
-        assert!(j.contains("\"name\":\"a.phase\",\"start_us\":10,\"end_us\":25"));
-        assert!(j.contains("\"open_spans\":[{\"id\":"));
         assert!(j.contains(
             "\"alerts\":[{\"slo\":\"std-latency\",\"at_us\":40,\"state\":\"firing\",\
              \"window\":\"fast\",\"burn_x100\":4100}]"
         ));
         assert!(j.ends_with("}\n"));
+    }
+
+    #[test]
+    fn top_level_keys_are_the_v4_set() {
+        let doc = dosgi_testkit::Json::parse(&sample().to_json()).expect("valid JSON");
+        let dosgi_testkit::Json::Obj(top) = doc else {
+            panic!("snapshot is not a JSON object");
+        };
+        let mut keys: Vec<&str> = top.keys().map(String::as_str).collect();
+        let mut want = [
+            "schema_version",
+            "label",
+            "seed",
+            "counters",
+            "gauges",
+            "histograms",
+            "alerts",
+        ];
+        keys.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(keys, want);
     }
 
     #[test]

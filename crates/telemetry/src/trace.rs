@@ -1,10 +1,9 @@
 //! Distributed causal tracing: per-node flight recorders, wire-carried
 //! trace contexts, and a deterministic cluster-wide trace log.
 //!
-//! Node-local spans ([`crate::Telemetry::span_enter`]) cannot describe a
-//! protocol that runs across nodes: a migration is released by one node,
-//! ordered by the sequencer, and adopted by another. This module links
-//! those pieces into one tree:
+//! This is the workspace's one span model. A protocol runs across nodes:
+//! a migration is released by one node, ordered by the sequencer, and
+//! adopted by another. This module links those pieces into one tree:
 //!
 //! * a [`TraceContext`] — trace id, parent span id, and a **Lamport
 //!   stamp** — minted at protocol entry points and carried inside GCS
@@ -141,7 +140,7 @@ impl TraceEvent {
     }
 }
 
-struct OpenSpanRec {
+struct LiveSpan {
     trace_id: u64,
     parent_span: u64,
     name: String,
@@ -154,7 +153,7 @@ struct RecInner {
     node: u64,
     clock: u64,
     next_seq: u64,
-    open: BTreeMap<u64, OpenSpanRec>,
+    open: BTreeMap<u64, LiveSpan>,
     closed: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
@@ -249,7 +248,7 @@ impl FlightRecorder {
         let lamport_start = g.clock;
         g.open.insert(
             id,
-            OpenSpanRec {
+            LiveSpan {
                 trace_id: id,
                 parent_span: 0,
                 name: name.to_owned(),
@@ -275,7 +274,7 @@ impl FlightRecorder {
         let lamport_start = g.clock;
         g.open.insert(
             id,
-            OpenSpanRec {
+            LiveSpan {
                 trace_id: ctx.trace_id,
                 parent_span: ctx.parent_span,
                 name: name.to_owned(),
@@ -303,7 +302,7 @@ impl FlightRecorder {
         let lamport_start = g.clock;
         g.open.insert(
             id,
-            OpenSpanRec {
+            LiveSpan {
                 trace_id: parent.trace_id,
                 parent_span: parent.span_id,
                 name: name.to_owned(),

@@ -47,6 +47,18 @@ echo "==> causal trace check (zero happens-before violations over the sweep)"
 cargo run --offline --release -p dosgi-bench --bin trace_check
 cargo run --offline --release -p dosgi-bench --bin trace_check results/trace_e14_hot_swap.json
 
+echo "==> results guard (every deterministic results/ file byte-identical to the index)"
+# The steps above regenerate the committed results; all but two are
+# seeded and must come out byte for byte as committed. The exceptions are
+# e13's wall-clock throughput table and its snapshot. Stage a deliberate
+# change to a result before running this script.
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+  git diff --exit-code --stat -- results \
+    ':(exclude)results/e13_throughput.txt' ':(exclude)results/telemetry_e13.json'
+else
+  echo "not a git work tree; skipping"
+fi
+
 echo "==> perf guard (e5 migration SAN bytes + e15 admission hot path + e14 blackout vs committed baselines)"
 cargo run --offline --release -p dosgi-bench --bin perf_guard
 

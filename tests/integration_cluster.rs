@@ -205,9 +205,11 @@ fn monitoring_sees_per_instance_usage() {
     let latest = node.monitor().latest("web").expect("sampled");
     assert!(latest.cpu_share > 0.0, "cpu visible: {latest:?}");
     assert!(latest.call_rate > 0.0);
-    let report = node.monitor().report();
-    assert_eq!(report.len(), 1);
-    assert_eq!(report[0].subject, "web");
+    assert_eq!(
+        node.monitor().total_memory(),
+        latest.memory,
+        "web is the only monitored subject"
+    );
 }
 
 #[test]

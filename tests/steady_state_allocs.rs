@@ -1,7 +1,8 @@
 //! Allocation gate for the simulator's steady state: once every key has
 //! been seen, a request through the cluster, a driver step without a
-//! scrape and an admission through a telemetry-free director allocate a
-//! pinned, small number of times.
+//! scrape, a telemetry-free step in which the nodes sample their instances
+//! and an admission through a telemetry-free director allocate a pinned,
+//! small number of times.
 //!
 //! Allocation counts are deterministic for a seeded run, so the ceilings
 //! are tight: each is the count measured when they were set, plus at most
@@ -63,6 +64,11 @@ fn allocs<R>(f: impl FnOnce() -> R) -> (u64, R) {
 const CALL_CEILING: f64 = 3.0;
 /// Mean allocations per driver step that runs no scrape.
 const STEP_CEILING: f64 = 5.0;
+/// Mean allocations per driver step in which the nodes sample their
+/// instances, with telemetry disabled and no autonomic policy. Every such
+/// step is also a heartbeat step, whose two allocations per node (the
+/// group endpoint's) are all it makes: the sample itself adds none.
+const SAMPLE_STEP_CEILING: f64 = 8.0;
 /// Mean allocations per admission with telemetry disabled.
 const ADMIT_CEILING: f64 = 0.0;
 
@@ -73,13 +79,16 @@ fn tenant(t: usize) -> String {
     format!("tenant-{t:02}")
 }
 
-/// A warmed-up 4-node cluster with telemetry and observability on and 12
-/// write-through counters that have each served requests, so every
-/// metric, series, SLA track and data-area key already exists.
-fn warm_cluster() -> (DosgiCluster, Vec<String>) {
-    let mut c =
-        DosgiCluster::new_with_telemetry(NODES, ClusterConfig::default(), 7, Telemetry::new());
-    c.enable_observability(ScrapeConfig::default(), DosgiCluster::default_slos());
+/// A warmed-up 4-node cluster with 12 write-through counters that have
+/// each served requests, so every metric, series, SLA track, monitored
+/// subject and data-area key already exists. Observability (series and
+/// SLOs) is on whenever `telemetry` is.
+fn warm_cluster(config: ClusterConfig, telemetry: Telemetry) -> (DosgiCluster, Vec<String>) {
+    let observe = telemetry.is_enabled();
+    let mut c = DosgiCluster::new_with_telemetry(NODES, config, 7, telemetry);
+    if observe {
+        c.enable_observability(ScrapeConfig::default(), DosgiCluster::default_slos());
+    }
     c.run_for(SimDuration::from_millis(500));
     let names: Vec<String> = (0..TENANTS).map(tenant).collect();
     for (t, name) in names.iter().enumerate() {
@@ -103,7 +112,7 @@ fn warm_cluster() -> (DosgiCluster, Vec<String>) {
 
 #[test]
 fn cluster_calls_and_steps_stay_under_their_allocation_ceilings() {
-    let (mut c, names) = warm_cluster();
+    let (mut c, names) = warm_cluster(ClusterConfig::default(), Telemetry::new());
 
     let (call_allocs, ()) = allocs(|| {
         for i in 0..1_000 {
@@ -140,6 +149,36 @@ fn cluster_calls_and_steps_stay_under_their_allocation_ceilings() {
     assert!(
         per_step <= STEP_CEILING,
         "{per_step:.3} allocations per step exceed the ceiling of {STEP_CEILING}"
+    );
+}
+
+#[test]
+fn sampling_steps_without_telemetry_stay_under_their_allocation_ceiling() {
+    // The autonomic module evaluates on a multiple of the sample period;
+    // leaving it out keeps its work out of the sampling steps.
+    let mut config = ClusterConfig::default();
+    config.node.policy = None;
+    let (mut c, names) = warm_cluster(config, Telemetry::disabled());
+    // `tenant-00` lives on node 0; its window closes on every sample.
+    let sampled_at = |c: &DosgiCluster| {
+        c.node(0)
+            .and_then(|n| n.monitor().latest(&names[0]))
+            .map(|w| w.at)
+    };
+    let (mut samples, mut sample_allocs) = (0u64, 0u64);
+    while samples < 20 {
+        let before = sampled_at(&c);
+        let (n, ()) = allocs(|| c.step());
+        if sampled_at(&c) != before {
+            samples += 1;
+            sample_allocs += n;
+        }
+    }
+    let per_sample = sample_allocs as f64 / samples as f64;
+    eprintln!("allocations: {per_sample:.3} per sampling step without telemetry");
+    assert!(
+        per_sample <= SAMPLE_STEP_CEILING,
+        "{per_sample:.3} allocations per sampling step exceed the ceiling of {SAMPLE_STEP_CEILING}"
     );
 }
 
